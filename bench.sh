@@ -2,7 +2,8 @@
 # bench.sh — the perf gate for this repo. Runs static checks, the race
 # detector over the packages that shard work across goroutines, and the
 # perf-tracking benchmarks (end-to-end selection, index build, serving
-# throughput, memoized gain serving, and the design-decision ablations),
+# throughput, memoized gain serving, sharded selection, and the
+# design-decision ablations),
 # then writes the parsed results to a JSON record so the perf trajectory is
 # tracked PR over PR (BENCH_PR1.json, BENCH_PR2.json, ...). cmd/benchcheck
 # compares two such records; CI gates BenchmarkSelectionEndToEnd with a
@@ -37,7 +38,7 @@ go test -run '^$' \
     -benchtime "$BENCHTIME" -timeout 60m . > "$RAW" 2>&1 || { cat "$RAW"; exit 1; }
 go test -run '^$' -bench 'BenchmarkAblationDTableLayout|BenchmarkIncrementalRepair|BenchmarkWarmRestart|BenchmarkStoreBackedGain' \
     -benchtime "$BENCHTIME" -timeout 30m ./internal/index/ >> "$RAW" 2>&1 || { cat "$RAW"; exit 1; }
-go test -run '^$' -bench 'BenchmarkShardIndexBuild' \
+go test -run '^$' -bench 'BenchmarkShardIndexBuild|BenchmarkShardedSelect' \
     -benchtime "$BENCHTIME" -timeout 30m ./internal/shard/ >> "$RAW" 2>&1 || { cat "$RAW"; exit 1; }
 cat "$RAW"
 

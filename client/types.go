@@ -281,8 +281,7 @@ type PartialTopGainsRequest struct {
 	Set   []int
 	// B is the number of winners (0 = server default of 10). Unlike
 	// /v1/topgains the cap is the graph's node count, not max-k: a
-	// coordinator's threshold algorithm legitimately deepens past the public
-	// top-B cap.
+	// coordinator asks for every candidate (B = n) to merge shards exactly.
 	B int
 	// Workers shards the candidate sweep (0 = server default).
 	Workers int
@@ -290,8 +289,8 @@ type PartialTopGainsRequest struct {
 
 // PartialTopGainsResponse is the /v1/partial/topgains reply, sum descending
 // with ties broken by ascending node id. Exhausted reports that every
-// candidate outside Set was returned — a coordinator must not keep
-// deepening. Degraded: see GainResponse.Degraded.
+// candidate outside Set was returned, as a coordinator's B = n request
+// requires. Degraded: see GainResponse.Degraded.
 type PartialTopGainsResponse struct {
 	Graph       string  `json:"graph"`
 	Problem     string  `json:"problem"`

@@ -232,26 +232,6 @@ func runPopulate[V any](populate func() (V, int64, error)) (v V, bytes int64, er
 	return populate()
 }
 
-// Peek returns a handle on the ready resident value for key, or nil when the
-// key is absent, still populating, or failed — never blocking and never
-// populating. This is the degraded read path: when new work cannot be
-// admitted or a rebuild fails, a peeked value lets the caller answer from
-// what is already resident. A successful peek pins the entry like Acquire
-// (the caller must Release) and refreshes its LRU position, but is not
-// counted in Hits — degraded traffic should not flatter the hit rate.
-func (c *Cache[K, V]) Peek(key K) *Handle[K, V] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || !e.isReady() || e.err != nil {
-		return nil
-	}
-	c.clock++
-	e.refs++
-	e.lastUse = c.clock
-	return &Handle[K, V]{c: c, e: e}
-}
-
 // PinBest scans the ready resident entries under the lock, scoring each with
 // score, and returns a pinned handle on the highest-scoring entry with a
 // positive score — or nil if none scores positive. Ties break arbitrarily.

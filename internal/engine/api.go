@@ -77,9 +77,11 @@ type SelectRequest struct {
 	Delta   float64
 }
 
-// SelectResult is one completed selection. Nodes, Gains and Evaluations are
-// bit-for-bit identical for every Workers value and for the streaming and
-// blocking paths.
+// SelectResult is one completed selection. Nodes and Gains are bit-for-bit
+// identical for every Workers value and for the streaming and blocking
+// paths; so is Evaluations, except that the lazy strategy re-evaluates
+// stale candidates in batches of up to Workers, so its count depends on
+// the resolved Workers.
 type SelectResult struct {
 	// Nodes lists the selected nodes in selection order; Gains the marginal
 	// gain recorded at each selection, parallel to Nodes.

@@ -95,3 +95,42 @@ func TestIndexEvictionOrphansPinnedMemoTable(t *testing.T) {
 		t.Fatalf("repopulated table gain = %v, want %v", got, want)
 	}
 }
+
+// Two index instances under one CacheKey — what a repair in place leaves
+// behind when a fresh build already serves the old key — must never share
+// or extend each other's memoized tables: a table is a view of the instance
+// it was built on.
+func TestMemoTablesStayWithTheirIndexInstance(t *testing.T) {
+	g := testGraph(t, 300, 6)
+	key := index.CacheKey{Graph: "test", L: 4, R: 10, Seed: 1}
+	build := func() *index.Index {
+		ix, err := index.BuildWorkers(g, key.L, key.R, key.Seed, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	ix1, ix2 := build(), build()
+	memo := newMemoCache(0, 0)
+	acquire := func(set []int, ix *index.Index, want string) {
+		t.Helper()
+		canon, setKey := canonicalSet(set)
+		mh, status, err := memo.acquire(memoKey{idx: key, problem: index.Problem2, set: setKey}, canon, ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mh.Release()
+		if status != want {
+			t.Fatalf("set %v on instance %p: status %q, want %q", set, ix, status, want)
+		}
+		if mh.Table().Index() != ix {
+			t.Fatalf("set %v: table built on instance %p, want %p", set, mh.Table().Index(), ix)
+		}
+	}
+	acquire([]int{1}, ix1, MemoMiss)
+	acquire([]int{1, 2}, ix2, MemoMiss) // ix1's {1} is not ix2's prefix
+	acquire([]int{1}, ix2, MemoMiss)    // nor is it ix2's {1}
+	acquire([]int{1}, ix1, MemoHit)
+	acquire([]int{1, 2, 3}, ix1, MemoExtended) // from ix1's {1}, not ix2's {1, 2}
+	acquire([]int{1, 2, 3}, ix2, MemoExtended) // from ix2's {1, 2}
+}

@@ -91,9 +91,14 @@ func isPrefix(p, set []int) bool {
 	return true
 }
 
-// memoKey identifies one cached D-table.
+// memoKey identifies one cached D-table. A table is only valid for the
+// index instance it was built on: ApplyDelta repairs an index in place
+// (and re-adopts it under the next epoch's key) while a fresh instance may
+// already serve the old key, so the key carries the instance as well as
+// its identity. acquire fills ix; callers leave it nil.
 type memoKey struct {
 	idx     index.CacheKey
+	ix      *index.Index
 	problem index.Problem
 	set     string // canonical set key (setKeyOf)
 }
@@ -256,11 +261,14 @@ const (
 	MemoOff      = "off"      // memoization disabled, fresh-table path
 )
 
-// acquire returns a pinned handle on the table for (key, set), populating
-// it at most once across concurrent callers. ix is the resident index to
-// materialize from on a miss; set must be canonical and non-empty. The
-// returned status is MemoHit, MemoMiss or MemoExtended.
+// acquire returns a pinned handle on the table for (key, set) built on ix,
+// populating it at most once across concurrent callers. ix is the pinned
+// resident index to read and extend from; tables built on any other
+// instance of the same identity are never served or extended. set must be
+// canonical and non-empty. The returned status is MemoHit, MemoMiss or
+// MemoExtended.
 func (c *memoCache) acquire(key memoKey, set []int, ix *index.Index) (*memoHandle, string, error) {
+	key.ix = ix
 	populated, extended := false, false
 	h, err := c.core.Acquire(key, func() (memoValue, int64, error) {
 		populated = true
@@ -273,7 +281,7 @@ func (c *memoCache) acquire(key memoKey, set []int, ix *index.Index) (*memoHandl
 		// every prefix key would cost O(|set|²) string building per miss,
 		// which an attacker-sized set turns into a DoS.
 		prefix := c.core.PinBest(func(k memoKey, v memoValue) int {
-			if k.idx != key.idx || k.problem != key.problem {
+			if k.ix != key.ix || k.idx != key.idx || k.problem != key.problem {
 				return 0
 			}
 			if !isPrefix(v.set, set) {
@@ -310,24 +318,14 @@ func (c *memoCache) acquire(key memoKey, set []int, ix *index.Index) (*memoHandl
 	return &memoHandle{h: h}, status, nil
 }
 
-// populateTable materializes the frozen table for set: from the longest
-// cached prefix when one is pinned (one array copy plus a replay of only
-// the delta of set past prefixLen), otherwise by full replay. The objective
-// is computed here, before publication, because EstimateObjective memoizes
-// saturation state in the table and therefore must not run on a shared
-// frozen table.
+// populateTable materializes the frozen table for set on ix: from the
+// longest cached prefix when one is pinned (one array copy plus a replay of
+// only the delta of set past prefixLen), otherwise by full replay. The
+// prefix table must be built on ix. The objective is computed here, before
+// publication, because EstimateObjective memoizes saturation state in the
+// table and therefore must not run on a shared frozen table.
 func populateTable(ix *index.Index, p index.Problem, set []int, prefix *index.DTable, prefixLen int) (*index.DTable, float64, error) {
-	base := ix
-	if prefix != nil {
-		// Extend against the prefix table's own index instance: it is the
-		// same (graph, L, R, seed) identity — walks are seeded per (node,
-		// replicate), so any instance holds identical entries — but
-		// ExtendFrom correctly refuses to mix table state across *Index
-		// pointers, and the index cache may have rebuilt the key since the
-		// prefix was cached.
-		base = prefix.Index()
-	}
-	d, err := base.NewDTable(p)
+	d, err := ix.NewDTable(p)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -340,19 +338,26 @@ func populateTable(ix *index.Index, p index.Problem, set []int, prefix *index.DT
 			d.Update(u)
 		}
 	}
-	members := make([]bool, base.Graph().N())
+	members := make([]bool, ix.Graph().N())
 	for _, u := range set {
 		members[u] = true
 	}
 	return d, d.EstimateObjective(members), nil
 }
 
-// peek returns a pinned handle on the resident frozen table for key, or nil
-// — never populating and never blocking. This is the degraded read path:
-// when the index cannot be acquired (build shed, failed, or out-deadlined),
-// an already-memoized table can still answer its exact set.
+// peek returns a pinned handle on a resident frozen table for key's
+// identity, problem and set, built on any index instance, or nil — never
+// populating and never blocking. This is the degraded read path: when the
+// index cannot be acquired (build shed, failed, or out-deadlined), an
+// already-memoized table can still answer its exact set, and every
+// instance of one identity holds identical entries.
 func (c *memoCache) peek(key memoKey) *memoHandle {
-	h := c.core.Peek(key)
+	h := c.core.PinBest(func(k memoKey, _ memoValue) int {
+		if k.idx == key.idx && k.problem == key.problem && k.set == key.set {
+			return 1
+		}
+		return 0
+	})
 	if h == nil {
 		return nil
 	}

@@ -123,13 +123,19 @@ func (e *Engine) ApplyDelta(ctx context.Context, req ApplyDeltaRequest) (*ApplyD
 	// indexes are repaired and re-adopted under the post-mutation key;
 	// everything else (pinned, walk-adopted, older-epoch stragglers) is
 	// dropped and rebuilds on next use. Stale keys — repaired or not — lose
-	// their memoized D-tables.
+	// their memoized D-tables first, so no later lookup can reach a table
+	// whose index is being rewritten in place.
 	taken, orphaned := e.cache.TakeGraph(name)
 	staleKeys := make([]index.CacheKey, 0, len(taken)+len(orphaned))
 	staleKeys = append(staleKeys, orphaned...)
-	res.IndexesDropped = len(orphaned)
 	for _, t := range taken {
 		staleKeys = append(staleKeys, t.Key)
+	}
+	if e.memo != nil {
+		res.MemosDropped = e.memo.dropIndexes(staleKeys)
+	}
+	res.IndexesDropped = len(orphaned)
+	for _, t := range taken {
 		if t.Key.Epoch == g.Epoch() && t.Index.Repair(ng, touched) == nil {
 			newKey := t.Key
 			newKey.Epoch = ng.Epoch()
@@ -139,9 +145,6 @@ func (e *Engine) ApplyDelta(ctx context.Context, req ApplyDeltaRequest) (*ApplyD
 			}
 		}
 		res.IndexesDropped++
-	}
-	if e.memo != nil {
-		res.MemosDropped = e.memo.dropIndexes(staleKeys)
 	}
 
 	e.graphs[name] = ng

@@ -17,9 +17,9 @@ import (
 // therefore never normalizes: that is the coordinator's job.
 //
 // Workers are stateless between rounds — every request carries the full
-// seed set — and lean on the same memo cache as the full read path: the
-// round-by-round CELF sets form a prefix chain, so each round's table is a
-// one-copy-plus-one-Update extension of the previous round's.
+// seed set — and lean on the same memo cache as the full read path: a
+// coordinator's greedy grows its set one pick per round, so a round's table
+// extends the longest cached prefix of the sorted set.
 
 // PartialGainRequest asks for the integer gain sums of Nodes against Set,
 // evaluated over the partial index for replicates [R0, R1) of the build
@@ -63,8 +63,8 @@ type PartialGainResult struct {
 
 // PartialTopGainsRequest asks for the B candidates with the largest integer
 // gain sums over the replicate range [R0, R1), Set members excluded. A
-// coordinator running the threshold algorithm fetches each shard's top B
-// and deepens B until the merged ranking is provably exact.
+// coordinator asks every shard for B = n, adds the complete replies by node
+// and ranks the merged sums itself.
 type PartialTopGainsRequest struct {
 	Graph   string
 	Problem Problem
@@ -85,8 +85,8 @@ type PartialTopGainsResult struct {
 	B     int
 	Nodes []int
 	Sums  []int64
-	// Exhausted reports that every candidate outside Set was returned — the
-	// shard has nothing deeper, so a coordinator must not keep deepening.
+	// Exhausted reports that every candidate outside Set was returned, as
+	// a coordinator's B = n request requires.
 	Exhausted   bool
 	IndexCached bool
 	Memo        string
@@ -200,9 +200,9 @@ func (e *Engine) PartialTopGains(ctx context.Context, req PartialTopGainsRequest
 			b = e.cfg.MaxK
 		}
 	}
-	// The partial budget is capped at n, not MaxK: a coordinator's threshold
-	// algorithm legitimately deepens past the public top-B cap on its way to
-	// an exact merged ranking, and the sweep is O(n) regardless of b.
+	// The partial budget is capped at n, not MaxK: a coordinator asks for
+	// every candidate (b = n) to merge shards exactly, and the sweep is O(n)
+	// regardless of b.
 	if b < 1 || b > p.g.N() {
 		return nil, badRequestf("b=%d outside [1, %d]", req.B, p.g.N())
 	}

@@ -62,6 +62,19 @@ func sweepRange(ctx context.Context, oracle Oracle, gains []float64, us []int, l
 	return us
 }
 
+// serialFallback clamps workers to [1, n] and reports whether a parallel
+// driver should hand the run to its serial counterpart instead. Only a
+// single-worker run over a per-candidate Oracle does: a BatchOracle keeps the
+// parallel driver at one worker so its sweeps still go through GainBatch,
+// which for a remote oracle is one round trip per stride instead of one per
+// candidate. At one worker the parallel drivers make the serial drivers'
+// selections with the same Evaluations count.
+func serialFallback(n int, oracle Oracle, workers int) (int, bool) {
+	workers = max(min(workers, n), 1)
+	_, batch := oracle.(BatchOracle)
+	return workers, workers == 1 && !batch
+}
+
 // shardBounds splits [0, n) into at most workers near-equal ranges.
 func shardBounds(n, workers int) [][2]int {
 	per := (n + workers - 1) / workers
@@ -81,7 +94,8 @@ func shardBounds(n, workers int) [][2]int {
 // its local first maximum; the reduction applies the same gain-then-smaller-id
 // rule, so selections are bit-for-bit identical to the serial driver for
 // every worker count. The oracle's Gain must be safe for concurrent calls
-// (see BatchOracle); workers <= 1 falls back to the serial driver.
+// (see BatchOracle); workers <= 1 falls back to the serial driver unless the
+// oracle is a BatchOracle (see serialFallback).
 func RunWorkers(n, k int, oracle Oracle, workers int) (*Result, error) {
 	return RunWorkersCtx(context.Background(), n, k, oracle, workers)
 }
@@ -98,10 +112,8 @@ func RunWorkersCtx(ctx context.Context, n, k int, oracle Oracle, workers int) (*
 // PickObserver); the observer runs on the driver goroutine, never
 // concurrently with itself or with gain evaluation.
 func RunWorkersStream(ctx context.Context, n, k int, oracle Oracle, workers int, obs PickObserver) (*Result, error) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	workers, serial := serialFallback(n, oracle, workers)
+	if serial {
 		return RunStream(ctx, n, k, oracle, obs)
 	}
 	k, err := validate(n, k)
@@ -165,7 +177,8 @@ func RunWorkersStream(ctx context.Context, n, k int, oracle Oracle, workers int,
 // Extra refreshes can only tighten cached upper bounds, never change them.
 //
 // The oracle's Gain/GainBatch must be safe for concurrent invocation between
-// Updates (see BatchOracle). workers <= 1 falls back to the serial driver.
+// Updates (see BatchOracle). workers <= 1 falls back to the serial driver
+// unless the oracle is a BatchOracle (see serialFallback).
 func RunLazyWorkers(n, k int, oracle Oracle, workers int) (*Result, error) {
 	return RunLazyWorkersCtx(context.Background(), n, k, oracle, workers)
 }
@@ -180,10 +193,8 @@ func RunLazyWorkersCtx(ctx context.Context, n, k int, oracle Oracle, workers int
 // PickObserver); the observer runs on the driver goroutine, never
 // concurrently with itself or with gain evaluation.
 func RunLazyWorkersStream(ctx context.Context, n, k int, oracle Oracle, workers int, obs PickObserver) (*Result, error) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	workers, serial := serialFallback(n, oracle, workers)
+	if serial {
 		return RunLazyStream(ctx, n, k, oracle, obs)
 	}
 	k, err := validate(n, k)

@@ -144,3 +144,53 @@ func TestRunLazyWorkersValidation(t *testing.T) {
 		t.Fatalf("clamped run: %v %v", res, err)
 	}
 }
+
+// countingBatchOracle counts GainBatch calls and the candidates in them.
+type countingBatchOracle struct {
+	batchCoverOracle
+	batches, batched int
+}
+
+func (o *countingBatchOracle) GainBatch(us []int, out []float64) []float64 {
+	o.batches++
+	o.batched += len(us)
+	return o.batchCoverOracle.GainBatch(us, out)
+}
+
+// At one worker a BatchOracle stays on the parallel drivers, so its sweeps
+// are GainBatch calls rather than one Gain per candidate, and the run
+// matches the serial driver's selections and Evaluations.
+func TestOneWorkerBatchOracleSweepsInBatches(t *testing.T) {
+	mk := randomCover(3000, 4000, 21)
+	const n, k = 3000, 8
+	for _, lazy := range []bool{false, true} {
+		serial, run := Run, RunWorkers
+		if lazy {
+			serial, run = RunLazy, RunLazyWorkers
+		}
+		want, err := serial(n, k, mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &countingBatchOracle{batchCoverOracle: batchCoverOracle{*mk()}}
+		got, err := run(n, k, o, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Selected, want.Selected) || !reflect.DeepEqual(got.Gains, want.Gains) {
+			t.Fatalf("lazy=%t: one-worker batch run diverged from serial", lazy)
+		}
+		if got.Evaluations != want.Evaluations {
+			t.Fatalf("lazy=%t: Evaluations %d, serial %d", lazy, got.Evaluations, want.Evaluations)
+		}
+		// Every sweep covers n candidates in ceil(n/stride) batches.
+		sweeps := 1
+		if !lazy {
+			sweeps = k
+		}
+		if wantBatches := sweeps * ((n + cancelCheckStride - 1) / cancelCheckStride); o.batches != wantBatches || o.batched != sweeps*n {
+			t.Fatalf("lazy=%t: %d GainBatch calls over %d candidates, want %d over %d",
+				lazy, o.batches, o.batched, wantBatches, sweeps*n)
+		}
+	}
+}

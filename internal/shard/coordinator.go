@@ -18,9 +18,9 @@ import (
 // its workers — each seeing only a narrower replicate range — cannot.
 type Config struct {
 	// Graphs maps the logical names requests use to loaded graphs. The
-	// coordinator needs them for validation and for the threshold
-	// algorithm's deepening bound; workers must serve the same graphs under
-	// the same names.
+	// coordinator needs them for validation and for the candidate count n
+	// its greedy drivers and top-gains merge range over; workers must serve
+	// the same graphs under the same names.
 	Graphs map[string]*graph.Graph
 	// DefaultTimeout bounds a request that does not set its own timeout;
 	// MaxTimeout caps what a request may ask for. Zero means unbounded.
@@ -298,31 +298,11 @@ func (co *Coordinator) split(R int) []span {
 	return spans
 }
 
-// callGain is one shard call with the coordinator's retry layer: temporary
-// (draining/overloaded/stale_epoch) failures are re-sent up to cfg.Retries
-// times with doubling backoff, the worker's Retry-After hint overriding the
-// computed wait. Everything else — including bad_request, timeout, and
-// transport death — surfaces immediately.
-func (co *Coordinator) callGain(ctx context.Context, sp span, req engine.PartialGainRequest) (*engine.PartialGainResult, error) {
-	var res *engine.PartialGainResult
-	err := co.withRetry(ctx, sp.shard, func() error {
-		var err error
-		res, err = co.conns[sp.shard].PartialGain(ctx, req)
-		return err
-	})
-	return res, err
-}
-
-func (co *Coordinator) callTopGains(ctx context.Context, sp span, req engine.PartialTopGainsRequest) (*engine.PartialTopGainsResult, error) {
-	var res *engine.PartialTopGainsResult
-	err := co.withRetry(ctx, sp.shard, func() error {
-		var err error
-		res, err = co.conns[sp.shard].PartialTopGains(ctx, req)
-		return err
-	})
-	return res, err
-}
-
+// withRetry runs one shard call under the coordinator's retry layer:
+// temporary (draining/overloaded/stale_epoch) failures are re-sent up to
+// cfg.Retries times with doubling backoff, the worker's Retry-After hint
+// overriding the computed wait. Everything else — including bad_request,
+// timeout, and transport death — surfaces immediately.
 func (co *Coordinator) withRetry(ctx context.Context, shard int, call func() error) error {
 	backoff := co.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
@@ -391,49 +371,25 @@ func gatherErr(errs []error) error {
 	return first
 }
 
-// scatterGain fans base out to every span (overriding R0/R1 per span) and
-// gathers the results, index-aligned with spans. The first failure cancels
+// scatter sends call to every span's worker through the retry layer and
+// gathers the replies, index-aligned with spans. The first failure cancels
 // the stragglers and wins; a merged answer exists only when every shard
 // answered.
-func (co *Coordinator) scatterGain(ctx context.Context, base engine.PartialGainRequest, spans []span) ([]*engine.PartialGainResult, error) {
+func scatter[T any](ctx context.Context, co *Coordinator, spans []span, call func(context.Context, Conn, span) (T, error)) ([]T, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make([]*engine.PartialGainResult, len(spans))
+	results := make([]T, len(spans))
 	errs := make([]error, len(spans))
 	var wg sync.WaitGroup
 	for i, sp := range spans {
 		wg.Add(1)
 		go func(i int, sp span) {
 			defer wg.Done()
-			req := base
-			req.R0, req.R1 = sp.r0, sp.r1
-			results[i], errs[i] = co.callGain(ctx, sp, req)
-			if errs[i] != nil {
-				cancel()
-			}
-		}(i, sp)
-	}
-	wg.Wait()
-	if err := gatherErr(errs); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// scatterTopGains is scatterGain for the per-shard top-B sweep.
-func (co *Coordinator) scatterTopGains(ctx context.Context, base engine.PartialTopGainsRequest, spans []span) ([]*engine.PartialTopGainsResult, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make([]*engine.PartialTopGainsResult, len(spans))
-	errs := make([]error, len(spans))
-	var wg sync.WaitGroup
-	for i, sp := range spans {
-		wg.Add(1)
-		go func(i int, sp span) {
-			defer wg.Done()
-			req := base
-			req.R0, req.R1 = sp.r0, sp.r1
-			results[i], errs[i] = co.callTopGains(ctx, sp, req)
+			errs[i] = co.withRetry(ctx, sp.shard, func() error {
+				var err error
+				results[i], err = call(ctx, co.conns[sp.shard], sp)
+				return err
+			})
 			if errs[i] != nil {
 				cancel()
 			}

@@ -65,8 +65,8 @@ func sameInts(a, b []int) bool {
 
 // TestSelectMergeParity is the tentpole acceptance criterion: sharded
 // selections must be bit-identical to the unsharded engine — Nodes, Gains,
-// and the telescoped Objective — for 1, 2 and 4 shards, both problems,
-// lazy and plain, across worker counts. R = 25 is deliberately not
+// the telescoped Objective and Evaluations — for 1, 2 and 4 shards, both
+// problems, lazy and plain, across worker counts. R = 25 is deliberately not
 // divisible by 4, exercising uneven range splits (and with it the implicit
 // R/N rounding of the split).
 func TestSelectMergeParity(t *testing.T) {
@@ -103,6 +103,10 @@ func TestSelectMergeParity(t *testing.T) {
 					if math.Float64bits(got.Objective()) != math.Float64bits(want.Objective()) {
 						t.Fatalf("shards=%d %v/%v: objective %v, want %v",
 							shards, problem, strategy, got.Objective(), want.Objective())
+					}
+					if got.Evaluations != want.Evaluations {
+						t.Fatalf("shards=%d %v/%v workers=%d: evaluations %d, want %d",
+							shards, problem, strategy, workers, got.Evaluations, want.Evaluations)
 					}
 				}
 			}

@@ -2,10 +2,10 @@ package shard
 
 import (
 	"context"
-	"sort"
-	"sync"
+	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/index"
 )
@@ -27,27 +27,17 @@ func (co *Coordinator) Gain(ctx context.Context, req engine.GainRequest) (*engin
 	}
 	runCtx, cancel := co.Context(ctx, 0)
 	defer cancel()
-	start := time.Now()
-	results, err := co.scatterGain(runCtx, engine.PartialGainRequest{
+	sums, _, meta, err := co.mergedGain(runCtx, engine.PartialGainRequest{
 		Graph: p.graphName, Problem: prob, L: p.L, Seed: p.seed, Epoch: &p.epoch,
 		Set: req.Set, Nodes: req.Nodes,
-	}, co.split(p.R))
+	}, p.R)
 	if err != nil {
 		return nil, err
-	}
-	meta := newMergeMeta()
-	sums := make([]int64, len(req.Nodes))
-	for _, r := range results {
-		for i, s := range r.Sums {
-			sums[i] += s
-		}
-		meta.fold(r.IndexCached, r.Memo, r.Degraded)
 	}
 	gains := make([]float64, len(sums))
 	for i, s := range sums {
 		gains[i] = float64(s) / float64(p.R)
 	}
-	co.noteMerge(start, meta)
 	return &engine.GainResult{
 		Gains:       gains,
 		IndexCached: meta.indexCached,
@@ -66,26 +56,18 @@ func (co *Coordinator) Objective(ctx context.Context, req engine.ObjectiveReques
 	}
 	runCtx, cancel := co.Context(ctx, 0)
 	defer cancel()
-	start := time.Now()
-	results, err := co.scatterGain(runCtx, engine.PartialGainRequest{
+	_, acc, meta, err := co.mergedGain(runCtx, engine.PartialGainRequest{
 		Graph: p.graphName, Problem: prob, L: p.L, Seed: p.seed, Epoch: &p.epoch,
 		Set: req.Set, WantObjective: true,
-	}, co.split(p.R))
+	}, p.R)
 	if err != nil {
 		return nil, err
-	}
-	meta := newMergeMeta()
-	var acc int64
-	for _, r := range results {
-		acc += r.ObjectiveSum
-		meta.fold(r.IndexCached, r.Memo, r.Degraded)
 	}
 	avg := float64(acc) / float64(p.R)
 	obj := avg
 	if prob == index.Problem1 {
 		obj = float64(p.g.N())*float64(p.L) - avg
 	}
-	co.noteMerge(start, meta)
 	return &engine.ObjectiveResult{
 		Objective:   obj,
 		IndexCached: meta.indexCached,
@@ -94,9 +76,19 @@ func (co *Coordinator) Objective(ctx context.Context, req engine.ObjectiveReques
 	}, nil
 }
 
-// TopGains answers engine.TopGains with a threshold-algorithm merge of
-// per-shard top lists; the merged ranking is bit-identical to the unsharded
-// sweep (gain descending, ties by ascending node id).
+// TopGains answers engine.TopGains in one scatter: every shard returns
+// the integer sums of all its candidates (B = n, which workers answer
+// Exhausted), the coordinator adds them into a dense per-node vector and
+// ranks it with core.TopOfSums. A worker sweep costs O(n·R_s) whatever B
+// is, so asking for every sum costs a worker no more than asking for its
+// top B, and one round trip settles the merged ranking exactly.
+//
+// TopOfSums ranks by integer sum descending, ties by ascending id; the
+// unsharded engine ranks by float64 gain. The orders agree because
+// distinct integer sums stay distinct through the division by R for every
+// realizable magnitude (sums are < 2^52: bounded by n·R·L with R ≤ 1000
+// and L < 2^16), so the merged ranking is bit-identical to the unsharded
+// one.
 func (co *Coordinator) TopGains(ctx context.Context, req engine.TopGainsRequest) (*engine.TopGainsResult, error) {
 	p, prob, err := co.resolveRead(req.Graph, req.Problem, req.L, req.R, req.Seed, req.Set)
 	if err != nil {
@@ -115,9 +107,38 @@ func (co *Coordinator) TopGains(ctx context.Context, req engine.TopGainsRequest)
 	runCtx, cancel := co.Context(ctx, 0)
 	defer cancel()
 	start := time.Now()
-	nodes, gains, meta, err := co.topMerged(runCtx, p, prob, req.Set, b, req.Workers)
+	n := p.g.N()
+	results, err := scatter(runCtx, co, co.split(p.R), func(ctx context.Context, c Conn, sp span) (*engine.PartialTopGainsResult, error) {
+		return c.PartialTopGains(ctx, engine.PartialTopGainsRequest{
+			Graph: p.graphName, Problem: prob, L: p.L, Seed: p.seed, Epoch: &p.epoch,
+			R0: sp.r0, R1: sp.r1, Set: req.Set, B: n, Workers: req.Workers,
+		})
+	})
 	if err != nil {
 		return nil, err
+	}
+	meta := newMergeMeta()
+	sums := make([]int64, n)
+	for _, r := range results {
+		if !r.Exhausted || len(r.Sums) != len(r.Nodes) {
+			return nil, &engine.Error{Code: engine.CodeInternal, Message: "shard: worker returned a partial candidate list for b=n"}
+		}
+		for j, u := range r.Nodes {
+			if u < 0 || u >= n {
+				return nil, &engine.Error{Code: engine.CodeInternal, Message: fmt.Sprintf("shard: worker returned node %d outside [0, %d)", u, n)}
+			}
+			sums[u] += r.Sums[j]
+		}
+		meta.fold(r.IndexCached, r.Memo, r.Degraded)
+	}
+	exclude := make([]bool, n)
+	for _, u := range req.Set {
+		exclude[u] = true
+	}
+	nodes, top := core.TopOfSums(sums, exclude, b)
+	gains := make([]float64, len(top))
+	for i, s := range top {
+		gains[i] = float64(s) / float64(p.R)
 	}
 	co.noteMerge(start, meta)
 	return &engine.TopGainsResult{
@@ -128,6 +149,33 @@ func (co *Coordinator) TopGains(ctx context.Context, req engine.TopGainsRequest)
 		Memo:        meta.memo,
 		Degraded:    meta.degraded,
 	}, nil
+}
+
+// mergedGain scatters one partial-gain request over the replicate split of
+// [0, R) and adds the shards' replies: the per-node integer sums (parallel
+// to req.Nodes) and the objective accumulator, with the folded metadata.
+func (co *Coordinator) mergedGain(ctx context.Context, req engine.PartialGainRequest, R int) ([]int64, int64, mergeMeta, error) {
+	start := time.Now()
+	results, err := scatter(ctx, co, co.split(R), func(ctx context.Context, c Conn, sp span) (*engine.PartialGainResult, error) {
+		r := req
+		r.R0, r.R1 = sp.r0, sp.r1
+		return c.PartialGain(ctx, r)
+	})
+	if err != nil {
+		return nil, 0, mergeMeta{}, err
+	}
+	meta := newMergeMeta()
+	sums := make([]int64, len(req.Nodes))
+	var acc int64
+	for _, r := range results {
+		for i, s := range r.Sums {
+			sums[i] += s
+		}
+		acc += r.ObjectiveSum
+		meta.fold(r.IndexCached, r.Memo, r.Degraded)
+	}
+	co.noteMerge(start, meta)
+	return sums, acc, meta, nil
 }
 
 // resolveRead mirrors engine.resolveRead for the coordinator's read surface.
@@ -144,178 +192,4 @@ func (co *Coordinator) resolveRead(graph string, problem engine.Problem, L, R in
 		return qparams{}, 0, err
 	}
 	return p, prob, nil
-}
-
-// candSum is one merged candidate during the threshold-algorithm scan.
-type candSum struct {
-	u   int
-	sum int64
-}
-
-// topMerged computes the exact merged top-b candidates against set — the
-// threshold algorithm (TA) over per-shard top lists:
-//
-//  1. Fetch each shard's top C candidates by integer partial sum (C starts
-//     at b).
-//  2. For every candidate some shard surfaced, fetch its missing partial
-//     sums by point lookup, making its merged sum exact.
-//  3. An unseen candidate (surfaced by no shard) is bounded above by
-//     T = Σ_s (C-th partial sum of shard s): it sits below the cut on every
-//     shard. If the b-th merged candidate strictly beats T — or some shard
-//     returned its entire candidate set, leaving nothing unseen — the
-//     merged top-b is provably exact. Otherwise double C and repeat.
-//
-// The bound comparison runs in the integer domain, which is exact; the
-// final returned ranking is by float64 gain (descending, ties by ascending
-// id), the unsharded comparator over identical float64 values. The two
-// orders agree because distinct integer sums stay distinct through the
-// division by R for every realizable magnitude (sums are < 2^52: bounded by
-// n·R·L with R ≤ 1000 and L < 2^16).
-//
-// The loop terminates: C doubles toward n, and a shard asked for n
-// candidates returns its whole candidate set (Exhausted).
-func (co *Coordinator) topMerged(ctx context.Context, p qparams, prob index.Problem, set []int, b, workers int) ([]int, []float64, mergeMeta, error) {
-	spans := co.split(p.R)
-	meta := newMergeMeta()
-	n := p.g.N()
-	// known[i] holds the exact partial sums shard i has reported, across
-	// deepening rounds — point lookups are never repeated.
-	known := make([]map[int]int64, len(spans))
-	for i := range known {
-		known[i] = make(map[int]int64)
-	}
-	for depth := b; ; depth = min(depth*2, n) {
-		base := engine.PartialTopGainsRequest{
-			Graph: p.graphName, Problem: prob, L: p.L, Seed: p.seed, Epoch: &p.epoch,
-			Set: set, B: min(depth, n), Workers: workers,
-		}
-		results, err := co.scatterTopGains(ctx, base, spans)
-		if err != nil {
-			return nil, nil, meta, err
-		}
-		exhausted := false
-		var threshold int64
-		for i, r := range results {
-			for j, u := range r.Nodes {
-				known[i][u] = r.Sums[j]
-			}
-			if r.Exhausted {
-				exhausted = true
-			} else {
-				// Non-exhausted lists hold exactly B entries; the last is the
-				// shard's cut, bounding every candidate it did not surface.
-				threshold += r.Sums[len(r.Sums)-1]
-			}
-			meta.fold(r.IndexCached, r.Memo, r.Degraded)
-		}
-		// The candidate union: everything any shard surfaced.
-		var union []int
-		seen := make(map[int]bool)
-		for i := range known {
-			for u := range known[i] {
-				if !seen[u] {
-					seen[u] = true
-					union = append(union, u)
-				}
-			}
-		}
-		if len(union) == 0 {
-			// Every candidate is a set member (or n = 0): nothing to rank.
-			return []int{}, []float64{}, meta, nil
-		}
-		if err := co.lookupMissing(ctx, p, prob, set, spans, union, known, &meta); err != nil {
-			return nil, nil, meta, err
-		}
-		merged := make([]candSum, 0, len(union))
-		for _, u := range union {
-			var total int64
-			for i := range known {
-				total += known[i][u]
-			}
-			merged = append(merged, candSum{u: u, sum: total})
-		}
-		// Rank with the unsharded comparator: float64 gain descending, ties
-		// by ascending id.
-		sort.Slice(merged, func(i, j int) bool {
-			gi, gj := float64(merged[i].sum)/float64(p.R), float64(merged[j].sum)/float64(p.R)
-			if gi != gj {
-				return gi > gj
-			}
-			return merged[i].u < merged[j].u
-		})
-		if len(merged) > b {
-			merged = merged[:b]
-		}
-		// Exactness: either nothing is unseen, or every kept candidate
-		// strictly beats the unseen upper bound.
-		exact := exhausted
-		if !exact && len(merged) == b {
-			minKept := merged[0].sum
-			for _, c := range merged[1:] {
-				if c.sum < minKept {
-					minKept = c.sum
-				}
-			}
-			exact = minKept > threshold
-		}
-		if exact {
-			nodes := make([]int, len(merged))
-			gains := make([]float64, len(merged))
-			for i, c := range merged {
-				nodes[i] = c.u
-				gains[i] = float64(c.sum) / float64(p.R)
-			}
-			return nodes, gains, meta, nil
-		}
-	}
-}
-
-// lookupMissing completes the union candidates' merged sums: for each
-// shard, every union candidate the shard has not yet reported is fetched by
-// a partial-gain point lookup. Lookups run per-shard in parallel.
-func (co *Coordinator) lookupMissing(ctx context.Context, p qparams, prob index.Problem, set []int, spans []span, union []int, known []map[int]int64, meta *mergeMeta) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs = make([]error, len(spans))
-	)
-	for i, sp := range spans {
-		var missing []int
-		for _, u := range union {
-			if _, ok := known[i][u]; !ok {
-				missing = append(missing, u)
-			}
-		}
-		if len(missing) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sp span, missing []int) {
-			defer wg.Done()
-			res, err := co.callGain(ctx, sp, engine.PartialGainRequest{
-				Graph: p.graphName, Problem: prob, L: p.L, Seed: p.seed, Epoch: &p.epoch,
-				R0: sp.r0, R1: sp.r1, Set: set, Nodes: missing,
-			})
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			mu.Lock()
-			for j, u := range missing {
-				known[i][u] = res.Sums[j]
-			}
-			meta.fold(res.IndexCached, res.Memo, res.Degraded)
-			mu.Unlock()
-		}(i, sp, missing)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,25 +2,27 @@ package shard
 
 import (
 	"context"
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/greedy"
 )
 
-// Select runs one top-K selection by driving the greedy loop
-// coordinator-side: each round scatter-gathers the shards' top candidates,
-// merges them exactly with the threshold algorithm, commits the (gain
-// descending, smallest-id) argmax, and re-scatters with the grown set. The
-// committed set grows as a prefix chain, so each shard serves each round
-// from a one-Update extension of its previous round's memoized table.
+// Select runs one top-K selection with the engine's own greedy drivers —
+// CELF (greedy.RunLazyWorkersStream) for Lazy, the full sweep
+// (greedy.RunWorkersStream) for Plain — over a scatterOracle, whose every
+// gain evaluation is one scatter-gather of the shards' integer partial sums.
+// The committed set grows one pick per round, and each worker serves a
+// round's set from its memo, extending the longest cached prefix of the
+// sorted set, so every later evaluation in the round is a memo hit.
 //
-// Selections — Nodes, Gains, and the telescoped Objective — are
+// Selections — Nodes, Gains, the telescoped Objective and Evaluations — are
 // bit-identical to the unsharded engine for both strategies and every
-// worker count: the merged gain of every candidate is the same float64
-// value the unsharded drivers compute, and the argmax rule is the same
-// total order. Evaluations counts the per-round candidate pool each shard
-// sweeps (n minus the committed set), which equals the plain driver's
-// count; the lazy driver's CELF count is not reproduced.
+// worker count: the drivers are the same code, fed the same float64 gain
+// values (merged integer sums divided once by R) and resolving Workers the
+// same way.
 func (co *Coordinator) Select(ctx context.Context, req engine.SelectRequest) (*engine.SelectResult, error) {
 	return co.selectRun(ctx, req, nil)
 }
@@ -54,42 +56,133 @@ func (co *Coordinator) selectRun(ctx context.Context, req engine.SelectRequest, 
 	runCtx, cancel := co.Context(ctx, req.Timeout)
 	defer cancel()
 
-	res := &engine.SelectResult{
-		Nodes: make([]int, 0, req.K),
-		Gains: make([]float64, 0, req.K),
-		L:     p.L, R: p.R,
-		Workers: req.Workers,
-		Lazy:    req.Strategy != engine.Plain,
+	o := &scatterOracle{
+		co: co, ctx: runCtx, cancel: cancel, r: p.R, indexCached: true,
+		base: engine.PartialGainRequest{
+			Graph: p.graphName, Problem: prob, L: p.L, Seed: p.seed, Epoch: &p.epoch,
+			Set: make([]int, 0, req.K),
+		},
+	}
+	round, total := 0, 0.0
+	obs := func(u int, gain float64) error {
+		// A pick made over a failed scatter's placeholder gains must not
+		// surface, whichever driver path reaches the observer first: the
+		// serial RunStream commits a round's best after its sweep without
+		// a context check.
+		if err := o.failed(); err != nil {
+			return err
+		}
+		round++
+		total += gain
+		if emit == nil {
+			return nil
+		}
+		return emit(engine.Round{Round: round, Node: u, Gain: gain, Objective: total})
+	}
+	lazy := req.Strategy != engine.Plain
+	workers := resolveWorkers(req.Workers)
+	run := greedy.RunWorkersStream
+	if lazy {
+		run = greedy.RunLazyWorkersStream
 	}
 	start := time.Now()
-	set := make([]int, 0, req.K)
-	total := 0.0
-	for round := 1; round <= req.K; round++ {
-		roundStart := time.Now()
-		nodes, gains, meta, err := co.topMerged(runCtx, p, prob, set, 1, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		co.noteMerge(roundStart, meta)
-		if round == 1 {
-			res.IndexCached = meta.indexCached
-		}
-		if len(nodes) == 0 {
-			// Every node is selected; the greedy loop is done early.
-			break
-		}
-		u, g := nodes[0], gains[0]
-		set = append(set, u)
-		res.Nodes = append(res.Nodes, u)
-		res.Gains = append(res.Gains, g)
-		res.Evaluations += p.g.N() - len(set) + 1
-		total += g
-		if emit != nil {
-			if err := emit(engine.Round{Round: round, Node: u, Gain: g, Objective: total}); err != nil {
-				return nil, err
-			}
-		}
+	sel, err := run(runCtx, p.g.N(), req.K, o, workers, obs)
+	if ferr := o.failed(); ferr != nil {
+		return nil, ferr
 	}
-	res.Select = time.Since(start)
-	return res, nil
+	if err != nil {
+		if runCtx.Err() != nil {
+			return nil, wrapCtx(runCtx.Err())
+		}
+		return nil, err
+	}
+	return &engine.SelectResult{
+		Nodes:       sel.Selected,
+		Gains:       sel.Gains,
+		Evaluations: sel.Evaluations,
+		L:           p.L, R: p.R,
+		Workers:     workers,
+		Lazy:        lazy,
+		Select:      time.Since(start),
+		IndexCached: o.indexCached,
+	}, nil
+}
+
+// resolveWorkers resolves a request's Workers the way engine.Config's
+// defaults do (DefaultWorkers and MaxWorkers are both GOMAXPROCS), so the
+// lazy driver's re-evaluation batches — and with them Evaluations — match
+// the unsharded engine's.
+func resolveWorkers(workers int) int {
+	procs := runtime.GOMAXPROCS(0)
+	if workers <= 0 || workers > procs {
+		return procs
+	}
+	return workers
+}
+
+// scatterOracle is the greedy.BatchOracle a sharded selection runs on.
+// GainBatch is one scatter of the committed set and the candidates; the
+// shards' exact int64 sums are added and divided once by R, the unsharded
+// engine's float64 expression. Update appends to the committed set.
+//
+// Oracle has no error return, so the first scatter error is recorded and
+// the run's context canceled: the driver stops at its next context check,
+// and the selection returns the recorded error instead of the context's.
+//
+// GainBatch holds mu across its scatter, so one scatter is in flight at a
+// time. The drivers' goroutines exist to spread CPU-bound evaluation over
+// cores; here evaluation runs on the workers, and each scatter already
+// calls every shard in parallel. Serializing keeps each shard's calls one
+// at a time and in order, as on the read path, so a worker shedding a
+// burst exhausts one call's retry budget instead of splitting the burst
+// across concurrent calls.
+type scatterOracle struct {
+	co     *Coordinator
+	ctx    context.Context
+	cancel context.CancelFunc
+	r      int
+
+	mu sync.Mutex
+	// base carries the committed set; the drivers call Update only between
+	// sweeps, when no GainBatch is running.
+	base        engine.PartialGainRequest
+	err         error
+	indexCached bool
+}
+
+func (o *scatterOracle) Gain(u int) float64 { return o.GainBatch([]int{u}, nil)[0] }
+
+func (o *scatterOracle) Update(u int) { o.base.Set = append(o.base.Set, u) }
+
+func (o *scatterOracle) GainBatch(us []int, out []float64) []float64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var sums []int64
+	if o.err == nil {
+		req := o.base
+		req.Nodes = us
+		var meta mergeMeta
+		var err error
+		sums, _, meta, err = o.co.mergedGain(o.ctx, req, o.r)
+		if err != nil {
+			o.err = err
+			o.cancel()
+		}
+		o.indexCached = o.indexCached && meta.indexCached
+	}
+	for i := range us {
+		g := 0.0
+		if sums != nil {
+			g = float64(sums[i]) / float64(o.r)
+		}
+		out = append(out, g)
+	}
+	return out
+}
+
+// failed returns the recorded scatter error, if any.
+func (o *scatterOracle) failed() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.err
 }
