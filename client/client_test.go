@@ -14,6 +14,7 @@ import (
 	"repro/client"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/greedy"
 	"repro/internal/index"
 	"repro/internal/server"
 	"repro/internal/testleak"
@@ -70,7 +71,7 @@ func TestSelectRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.ApproxWithIndexWorkers(ix, index.Problem1, 6, true, 1)
+	want, err := core.ApproxWithIndex(context.Background(), ix, index.Problem1, 6, greedy.Options{Lazy: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

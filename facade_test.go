@@ -32,17 +32,6 @@ func TestSelectStochasticFacade(t *testing.T) {
 	}
 }
 
-func TestSelectAdaptiveFacade(t *testing.T) {
-	g, _ := GenerateBarabasiAlbert(150, 2, 8)
-	res, err := SelectAdaptive(g, Options{K: 3, L: 4, R: 25, Seed: 1, Lazy: true}, Problem2, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Nodes) != 3 || res.RUsed < 25 {
-		t.Fatalf("adaptive result %+v", res)
-	}
-}
-
 func TestIndexSaveLoadFacade(t *testing.T) {
 	g := testGraph(t)
 	ix, err := BuildIndexParallel(g, 4, 30, 5, 2)

@@ -112,29 +112,6 @@ func (s *Selection) String() string {
 		s.Algorithm, len(s.Nodes), s.Objective(), s.BuildTime.Round(time.Millisecond), s.SelectTime.Round(time.Millisecond))
 }
 
-// drive runs the configured greedy driver over the oracle.
-func drive(n, k int, oracle greedy.Oracle, lazy bool) (*greedy.Result, error) {
-	return driveWorkers(context.Background(), n, k, oracle, lazy, 1)
-}
-
-// driveWorkers runs the configured greedy driver, sharding gain evaluations
-// over workers goroutines when workers > 1. The oracle must then support
-// concurrent Gain calls between Updates (index.DTable does; the DP and
-// sampling oracles do not and always pass workers = 1). Cancellation of ctx
-// aborts the selection with ctx's error.
-func driveWorkers(ctx context.Context, n, k int, oracle greedy.Oracle, lazy bool, workers int) (*greedy.Result, error) {
-	return driveStream(ctx, n, k, oracle, lazy, workers, nil)
-}
-
-// driveStream is driveWorkers with a per-pick observer threaded through to
-// the greedy drivers.
-func driveStream(ctx context.Context, n, k int, oracle greedy.Oracle, lazy bool, workers int, obs greedy.PickObserver) (*greedy.Result, error) {
-	if lazy {
-		return greedy.RunLazyWorkersStream(ctx, n, k, oracle, workers, obs)
-	}
-	return greedy.RunWorkersStream(ctx, n, k, oracle, workers, obs)
-}
-
 // ---------------------------------------------------------------------------
 // DP-based greedy (DPF1, DPF2)
 // ---------------------------------------------------------------------------
@@ -188,7 +165,7 @@ func dpGreedy(g *graph.Graph, opts Options, name string, pick func(*hitting.Eval
 	oracle := &dpOracle{obj: pick(ev)}
 	build := time.Since(start)
 	start = time.Now()
-	res, err := drive(g.N(), opts.K, oracle, opts.Lazy)
+	res, err := greedy.Run(context.Background(), g.N(), opts.K, oracle, greedy.Options{Lazy: opts.Lazy})
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +254,7 @@ func sampleGreedy(g *graph.Graph, opts Options, name string, first bool) (*Selec
 	start = time.Now()
 	// Sampling noise breaks exact submodularity, so the plain driver is used
 	// regardless of opts.Lazy: a stale CELF bound may be violated by noise.
-	res, err := greedy.Run(g.N(), opts.K, oracle)
+	res, err := greedy.Run(context.Background(), g.N(), opts.K, oracle, greedy.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -310,8 +287,8 @@ func SampleF2(g *graph.Graph, opts Options) (*Selection, error) {
 // ---------------------------------------------------------------------------
 
 // dtableOracle adapts an index.DTable to the greedy.BatchOracle interface.
-// Gain and GainBatch are pure reads of the D-table, so the parallel drivers
-// may call them concurrently between Updates.
+// Gain and GainBatch are pure reads of the D-table, so greedy.Run may call
+// them concurrently between Updates.
 type dtableOracle struct{ d *index.DTable }
 
 func (o dtableOracle) Gain(u int) float64 { return o.d.Gain(u) }
@@ -343,7 +320,7 @@ func approxGreedy(g *graph.Graph, opts Options, name string, p index.Problem) (*
 		return nil, err
 	}
 	build := time.Since(start)
-	sel, err := ApproxWithIndexWorkers(ix, p, opts.K, opts.Lazy, workers)
+	sel, err := ApproxWithIndex(context.Background(), ix, p, opts.K, greedy.Options{Lazy: opts.Lazy, Workers: workers})
 	if err != nil {
 		return nil, err
 	}
@@ -353,51 +330,20 @@ func approxGreedy(g *graph.Graph, opts Options, name string, p index.Problem) (*
 }
 
 // ApproxWithIndex runs the greedy loop of Algorithm 6 on an already-built
-// index, so several budgets or both problems can share one materialization,
-// sharding gain evaluations over all available cores. BuildTime in the
+// index, so several budgets or both problems can share one materialization.
+// opts carries the greedy flavor, the worker count and the per-pick
+// observer (see greedy.Options); Workers <= 0 means runtime.GOMAXPROCS(0).
+// Selections are bit-for-bit identical for every worker count, and the
+// observer cannot perturb them. Canceling ctx aborts the loop between
+// evaluation strides and returns ctx's error; the query-serving engine uses
+// that to enforce per-request timeouts and graceful drain. BuildTime in the
 // result covers only the D-table setup.
-func ApproxWithIndex(ix *index.Index, p index.Problem, k int, lazy bool) (*Selection, error) {
-	return ApproxWithIndexWorkers(ix, p, k, lazy, 0)
-}
-
-// ApproxWithIndexWorkers is ApproxWithIndex with an explicit worker count
-// for the selection loop; workers <= 0 means runtime.GOMAXPROCS(0).
-// Selections are bit-for-bit identical for every worker count.
-func ApproxWithIndexWorkers(ix *index.Index, p index.Problem, k int, lazy bool, workers int) (*Selection, error) {
-	return ApproxWithIndexCtx(context.Background(), ix, p, k, lazy, workers)
-}
-
-// ApproxWithIndexCtx is ApproxWithIndexWorkers with cooperative
-// cancellation: canceling ctx aborts the greedy loop between evaluation
-// strides and returns ctx's error. It is the entry point the query-serving
-// engine uses to enforce per-request timeouts and graceful drain.
-func ApproxWithIndexCtx(ctx context.Context, ix *index.Index, p index.Problem, k int, lazy bool, workers int) (*Selection, error) {
-	return ApproxWithIndexStream(ctx, ix, p, k, lazy, workers, nil)
-}
-
-// Pick is one streamed greedy round: the node committed in round Round
-// (1-based), its recorded marginal gain, and the objective value after the
-// round — the running telescoped sum of gains, accumulated in selection
-// order so that the last round's Total is bit-for-bit Selection.Objective().
-type Pick struct {
-	Round int
-	Node  int
-	Gain  float64
-	Total float64
-}
-
-// ApproxWithIndexStream is ApproxWithIndexCtx with a per-round observer:
-// onPick (may be nil) is called with each committed pick as it is decided,
-// before the next round begins. The observer cannot perturb the selection —
-// picks are reported after being committed — so the returned Selection is
-// bit-for-bit identical to the blocking path's for every worker count; a
-// non-nil observer error aborts the run and is returned as-is.
-func ApproxWithIndexStream(ctx context.Context, ix *index.Index, p index.Problem, k int, lazy bool, workers int, onPick func(Pick) error) (*Selection, error) {
+func ApproxWithIndex(ctx context.Context, ix *index.Index, p index.Problem, k int, opts greedy.Options) (*Selection, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("core: negative budget K=%d", k)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
 	d, err := ix.NewDTable(p)
@@ -406,16 +352,7 @@ func ApproxWithIndexStream(ctx context.Context, ix *index.Index, p index.Problem
 	}
 	build := time.Since(start)
 	start = time.Now()
-	var obs greedy.PickObserver
-	if onPick != nil {
-		round, total := 0, 0.0
-		obs = func(u int, gain float64) error {
-			round++
-			total += gain
-			return onPick(Pick{Round: round, Node: u, Gain: gain, Total: total})
-		}
-	}
-	res, err := driveStream(ctx, ix.Graph().N(), k, dtableOracle{d}, lazy, workers, obs)
+	res, err := greedy.Run(ctx, ix.Graph().N(), k, dtableOracle{d}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -431,6 +368,18 @@ func ApproxWithIndexStream(ctx context.Context, ix *index.Index, p index.Problem
 		BuildTime:   build,
 		SelectTime:  time.Since(start),
 	}, nil
+}
+
+// ApproxWithIndexWorkers and ApproxWithIndexStream are the positional
+// spellings of ApproxWithIndex that the servebench harness calls; code
+// inside this module calls ApproxWithIndex.
+func ApproxWithIndexWorkers(ix *index.Index, p index.Problem, k int, lazy bool, workers int) (*Selection, error) {
+	return ApproxWithIndex(context.Background(), ix, p, k, greedy.Options{Lazy: lazy, Workers: workers})
+}
+
+// ApproxWithIndexStream: see ApproxWithIndexWorkers.
+func ApproxWithIndexStream(ctx context.Context, ix *index.Index, p index.Problem, k int, lazy bool, workers int, observe func(greedy.Pick) error) (*Selection, error) {
+	return ApproxWithIndex(ctx, ix, p, k, greedy.Options{Lazy: lazy, Workers: workers, Observe: observe})
 }
 
 // ---------------------------------------------------------------------------
@@ -517,7 +466,7 @@ func Dominate(g *graph.Graph, k int) (*Selection, error) {
 	)
 	// Neighborhood coverage is submodular, so the lazy driver is exact and
 	// keeps the baseline fast on large graphs.
-	res, err := greedy.RunLazy(g.N(), k, oracle)
+	res, err := greedy.Run(context.Background(), g.N(), k, oracle, greedy.Options{Lazy: true})
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 // This file exports the top-B marginal-gain sweep the query-serving daemon
 // uses for GET /v1/topgains: evaluate Gain for every candidate against a
 // D-table's current set (a pure read, sharded over workers) and keep the B
-// best. It lives in core next to the greedy drivers because it is exactly
+// best. It lives in core next to the greedy entry points because it is exactly
 // one round of the plain greedy sweep, generalized from argmax to arg-top-B.
 
 // topGainsStride bounds how many candidates a worker evaluates between

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/greedy"
 	"repro/internal/index"
 )
 
@@ -223,7 +224,7 @@ func TestAdoptIndex(t *testing.T) {
 	if !res.IndexCached {
 		t.Fatal("selection rebuilt an index that was adopted")
 	}
-	want, err := core.ApproxWithIndexWorkers(ix, index.Problem2, 6, true, 1)
+	want, err := core.ApproxWithIndex(context.Background(), ix, index.Problem2, 6, greedy.Options{Lazy: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

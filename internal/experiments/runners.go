@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/greedy"
 	"repro/internal/index"
 	"repro/internal/metrics"
 )
@@ -287,12 +289,12 @@ func effectivenessSweep(g *graph.Graph, L, R, workers int, seed uint64, ks []flo
 	if err != nil {
 		return nil, nil, err
 	}
-	ap1, err := core.ApproxWithIndexWorkers(ix, index.Problem1, kmax, true, workers)
+	ap1, err := core.ApproxWithIndex(context.Background(), ix, index.Problem1, kmax, greedy.Options{Lazy: true, Workers: workers})
 	if err != nil {
 		return nil, nil, err
 	}
 	runs = append(runs, result{"ApproxF1", ap1.Nodes})
-	ap2, err := core.ApproxWithIndexWorkers(ix, index.Problem2, kmax, true, workers)
+	ap2, err := core.ApproxWithIndex(context.Background(), ix, index.Problem2, kmax, greedy.Options{Lazy: true, Workers: workers})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -543,11 +545,11 @@ func Fig10(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			ap1, err := core.ApproxWithIndexWorkers(ix, index.Problem1, k, true, cfg.workers())
+			ap1, err := core.ApproxWithIndex(context.Background(), ix, index.Problem1, k, greedy.Options{Lazy: true, Workers: cfg.workers()})
 			if err != nil {
 				return nil, err
 			}
-			ap2, err := core.ApproxWithIndexWorkers(ix, index.Problem2, k, true, cfg.workers())
+			ap2, err := core.ApproxWithIndex(context.Background(), ix, index.Problem2, k, greedy.Options{Lazy: true, Workers: cfg.workers()})
 			if err != nil {
 				return nil, err
 			}

@@ -59,7 +59,7 @@ func randomCoverage(seed uint64, n, elements int) *coverageOracle {
 func TestPlainGreedyPicksObviousWinner(t *testing.T) {
 	// Candidate 0 covers everything; it must be picked first.
 	o := newCoverage([][]int{{0, 1, 2, 3}, {0}, {1}, {2}}, 4)
-	res, err := Run(4, 2, o)
+	res, err := run(4, 2, o, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestLazyMatchesPlainSelectionValue(t *testing.T) {
 		const n, elements, k = 40, 60, 8
 		plain := randomCoverage(seed, n, elements)
 		lazy := randomCoverage(seed, n, elements)
-		rp, err1 := Run(n, k, plain)
-		rl, err2 := RunLazy(n, k, lazy)
+		rp, err1 := run(n, k, plain, Options{})
+		rl, err2 := run(n, k, lazy, Options{Lazy: true})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -97,8 +97,8 @@ func TestLazyUsesFewerEvaluations(t *testing.T) {
 	const n, elements, k = 200, 300, 20
 	plain := randomCoverage(7, n, elements)
 	lazy := randomCoverage(7, n, elements)
-	rp, _ := Run(n, k, plain)
-	rl, _ := RunLazy(n, k, lazy)
+	rp, _ := run(n, k, plain, Options{})
+	rl, _ := run(n, k, lazy, Options{Lazy: true})
 	if rl.Evaluations >= rp.Evaluations {
 		t.Fatalf("lazy evaluations %d not fewer than plain %d", rl.Evaluations, rp.Evaluations)
 	}
@@ -109,7 +109,7 @@ func TestLazyUsesFewerEvaluations(t *testing.T) {
 
 func TestKClampedToN(t *testing.T) {
 	o := newCoverage([][]int{{0}, {1}, {2}}, 3)
-	res, err := Run(3, 10, o)
+	res, err := run(3, 10, o, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestKClampedToN(t *testing.T) {
 		t.Fatalf("selected %d nodes, want 3", len(res.Selected))
 	}
 	o2 := newCoverage([][]int{{0}, {1}, {2}}, 3)
-	res2, err := RunLazy(3, 10, o2)
+	res2, err := run(3, 10, o2, Options{Lazy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,30 +128,30 @@ func TestKClampedToN(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	o := newCoverage([][]int{{0}}, 1)
-	if _, err := Run(0, 1, o); err == nil {
+	if _, err := run(0, 1, o, Options{}); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := Run(1, -1, o); err == nil {
+	if _, err := run(1, -1, o, Options{}); err == nil {
 		t.Error("negative k accepted")
 	}
-	if _, err := RunLazy(0, 1, o); err == nil {
+	if _, err := run(0, 1, o, Options{Lazy: true}); err == nil {
 		t.Error("lazy n=0 accepted")
 	}
-	if _, err := RunLazy(1, -2, o); err == nil {
+	if _, err := run(1, -2, o, Options{Lazy: true}); err == nil {
 		t.Error("lazy negative k accepted")
 	}
 }
 
 func TestZeroBudget(t *testing.T) {
 	o := newCoverage([][]int{{0}, {1}}, 2)
-	res, err := Run(2, 0, o)
+	res, err := run(2, 0, o, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Selected) != 0 || res.Evaluations != 0 {
 		t.Fatalf("k=0: selected=%v evals=%d", res.Selected, res.Evaluations)
 	}
-	res, err = RunLazy(2, 0, o)
+	res, err = run(2, 0, o, Options{Lazy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +163,9 @@ func TestZeroBudget(t *testing.T) {
 func TestNoRepeatSelections(t *testing.T) {
 	f := func(seed uint64) bool {
 		const n, elements, k = 30, 40, 15
-		for _, run := range []func(int, int, Oracle) (*Result, error){Run, RunLazy} {
+		for _, opts := range []Options{{}, {Lazy: true}} {
 			o := randomCoverage(seed, n, elements)
-			res, err := run(n, k, o)
+			res, err := run(n, k, o, opts)
 			if err != nil {
 				return false
 			}
@@ -188,7 +188,7 @@ func TestGainsNonIncreasing(t *testing.T) {
 	// Greedy marginal gains on a submodular objective are non-increasing in
 	// selection order.
 	o := randomCoverage(11, 50, 80)
-	res, _ := Run(50, 12, o)
+	res, _ := run(50, 12, o, Options{})
 	for i := 1; i < len(res.Gains); i++ {
 		if res.Gains[i] > res.Gains[i-1]+1e-9 {
 			t.Fatalf("gain increased: %v then %v", res.Gains[i-1], res.Gains[i])
@@ -229,7 +229,7 @@ func TestGreedyApproximationGuarantee(t *testing.T) {
 			}
 		}
 		o := newCoverage(covers, elements)
-		res, _ := Run(n, k, o)
+		res, _ := run(n, k, o, Options{})
 		if got := res.Objective(); got < (1-1/math.E)*best-1e-9 {
 			t.Fatalf("trial %d: greedy %v below (1-1/e)·OPT = %v", trial, got, (1-1/math.E)*best)
 		}
@@ -242,7 +242,7 @@ func TestOracleFuncs(t *testing.T) {
 		func(u int) float64 { return float64(-u) },
 		func(u int) { calls++ },
 	)
-	res, err := Run(3, 1, o)
+	res, err := run(3, 1, o, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestOracleFuncs(t *testing.T) {
 func BenchmarkPlainGreedy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := randomCoverage(1, 500, 800)
-		if _, err := Run(500, 30, o); err != nil {
+		if _, err := run(500, 30, o, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func BenchmarkPlainGreedy(b *testing.B) {
 func BenchmarkLazyGreedy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := randomCoverage(1, 500, 800)
-		if _, err := RunLazy(500, 30, o); err != nil {
+		if _, err := run(500, 30, o, Options{Lazy: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

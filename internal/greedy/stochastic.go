@@ -14,10 +14,10 @@ import (
 // (1 − 1/e − eps) approximation in expectation with only O(n·ln(1/eps))
 // total gain evaluations — independent of k.
 //
-// It slots into this module as the third driver next to Run and RunLazy:
-// on the paper's problems it trades a provably bounded sliver of quality for
-// k-independent cost, which matters when both n and k are large and even
-// CELF's first full sweep dominates.
+// It slots into this module as the third driver next to Run's plain and
+// lazy flavors: on the paper's problems it trades a provably bounded sliver
+// of quality for k-independent cost, which matters when both n and k are
+// large and even CELF's first full sweep dominates.
 func RunStochastic(n, k int, oracle Oracle, eps float64, seed uint64) (*Result, error) {
 	k, err := validate(n, k)
 	if err != nil {

@@ -6,7 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/engine"
-	"repro/internal/shard"
+	"repro/internal/latency"
 )
 
 // The /v1/partial endpoints are the worker side of replicate-sharded
@@ -235,12 +235,12 @@ type ShardConnStatsJSON struct {
 // ShardsStatsJSON mirrors shard.Stats for /stats, present only in
 // coordinator mode.
 type ShardsStatsJSON struct {
-	Shards         int                   `json:"shards"`
-	Merges         int64                 `json:"merges"`
-	DegradedMerges int64                 `json:"degraded_merges"`
-	Retries        int64                 `json:"retries"`
-	MergeLatency   shard.LatencySnapshot `json:"merge_latency"`
-	PerShard       []ShardConnStatsJSON  `json:"per_shard"`
+	Shards         int                  `json:"shards"`
+	Merges         int64                `json:"merges"`
+	DegradedMerges int64                `json:"degraded_merges"`
+	Retries        int64                `json:"retries"`
+	MergeLatency   latency.Snapshot     `json:"merge_latency"`
+	PerShard       []ShardConnStatsJSON `json:"per_shard"`
 }
 
 // shardsStats renders the coordinator's counters for /stats (nil when

@@ -2,132 +2,22 @@ package server
 
 import (
 	"sync/atomic"
-	"time"
+
+	"repro/internal/latency"
 )
-
-// numLatencyBounds must match len(latencyBounds); the histogram array needs
-// a constant size.
-const numLatencyBounds = 15
-
-// latencyBounds are the histogram bucket upper bounds. Exponential-ish
-// coverage from sub-millisecond cache hits to multi-second cold index
-// builds; the final implicit bucket is +Inf.
-var latencyBounds = [numLatencyBounds]time.Duration{
-	500 * time.Microsecond,
-	1 * time.Millisecond,
-	2 * time.Millisecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	20 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	200 * time.Millisecond,
-	500 * time.Millisecond,
-	time.Second,
-	2 * time.Second,
-	5 * time.Second,
-	10 * time.Second,
-	30 * time.Second,
-}
-
-// histogram is a fixed-bucket latency histogram with lock-free observation.
-type histogram struct {
-	counts [numLatencyBounds + 1]atomic.Int64
-	sumNS  atomic.Int64
-}
-
-func (h *histogram) Observe(d time.Duration) {
-	i := 0
-	for ; i < len(latencyBounds); i++ {
-		if d <= latencyBounds[i] {
-			break
-		}
-	}
-	h.counts[i].Add(1)
-	h.sumNS.Add(int64(d))
-}
-
-// HistogramBucket is one cumulative ("le") histogram bucket in /stats output.
-type HistogramBucket struct {
-	LeMS  float64 `json:"le_ms"` // upper bound in milliseconds; -1 means +Inf
-	Count int64   `json:"count"` // cumulative count of observations <= LeMS
-}
-
-// HistogramSnapshot is the JSON form of a histogram. Quantiles are bucket
-// upper bounds; -1 means the quantile fell in the +Inf overflow bucket.
-type HistogramSnapshot struct {
-	Count   int64             `json:"count"`
-	MeanMS  float64           `json:"mean_ms"`
-	P50MS   float64           `json:"p50_ms"`
-	P95MS   float64           `json:"p95_ms"`
-	P99MS   float64           `json:"p99_ms"`
-	Buckets []HistogramBucket `json:"buckets,omitempty"`
-}
-
-// quantileUpperBound returns the upper bound (ms) of the bucket containing
-// the q-quantile. A quantile landing in the +Inf overflow bucket reports -1
-// (matching the le_ms convention) rather than pretending the largest finite
-// bound was measured.
-func quantileUpperBound(cum []int64, total int64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	for i, c := range cum {
-		if c >= rank {
-			if i < len(latencyBounds) {
-				return float64(latencyBounds[i]) / float64(time.Millisecond)
-			}
-			break
-		}
-	}
-	return -1
-}
-
-func (h *histogram) Snapshot(withBuckets bool) HistogramSnapshot {
-	cum := make([]int64, len(h.counts))
-	var total int64
-	for i := range h.counts {
-		total += h.counts[i].Load()
-		cum[i] = total
-	}
-	s := HistogramSnapshot{
-		Count: total,
-		P50MS: quantileUpperBound(cum, total, 0.50),
-		P95MS: quantileUpperBound(cum, total, 0.95),
-		P99MS: quantileUpperBound(cum, total, 0.99),
-	}
-	if total > 0 {
-		s.MeanMS = float64(h.sumNS.Load()) / float64(total) / float64(time.Millisecond)
-	}
-	if withBuckets {
-		s.Buckets = make([]HistogramBucket, 0, len(cum))
-		for i, c := range cum {
-			le := -1.0
-			if i < len(latencyBounds) {
-				le = float64(latencyBounds[i]) / float64(time.Millisecond)
-			}
-			s.Buckets = append(s.Buckets, HistogramBucket{LeMS: le, Count: c})
-		}
-	}
-	return s
-}
 
 // endpointMetrics tracks one route.
 type endpointMetrics struct {
 	requests atomic.Int64
 	errors   atomic.Int64
-	lat      histogram
+	lat      latency.Histogram
 }
 
 // EndpointSnapshot is the JSON form of endpointMetrics.
 type EndpointSnapshot struct {
-	Requests int64             `json:"requests"`
-	Errors   int64             `json:"errors"`
-	Latency  HistogramSnapshot `json:"latency"`
+	Requests int64            `json:"requests"`
+	Errors   int64            `json:"errors"`
+	Latency  latency.Snapshot `json:"latency"`
 }
 
 func (m *endpointMetrics) Snapshot(withBuckets bool) EndpointSnapshot {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/latency"
 )
 
 // Config configures a Coordinator. The request-shape knobs (MaxR, MaxK,
@@ -19,7 +20,7 @@ import (
 type Config struct {
 	// Graphs maps the logical names requests use to loaded graphs. The
 	// coordinator needs them for validation and for the candidate count n
-	// its greedy drivers and top-gains merge range over; workers must serve
+	// its greedy driver and top-gains merge range over; workers must serve
 	// the same graphs under the same names.
 	Graphs map[string]*graph.Graph
 	// DefaultTimeout bounds a request that does not set its own timeout;
@@ -88,7 +89,7 @@ type Coordinator struct {
 	merges         atomic.Int64
 	degradedMerges atomic.Int64
 	retries        atomic.Int64
-	mergeLat       histogram
+	mergeLat       latency.Histogram
 	perShard       []connStats
 
 	// closed is closed by Close, aborting any retry backoff still sleeping —
@@ -438,5 +439,5 @@ func (co *Coordinator) noteMerge(start time.Time, m mergeMeta) {
 	if m.degraded {
 		co.degradedMerges.Add(1)
 	}
-	co.mergeLat.observe(time.Since(start))
+	co.mergeLat.Observe(time.Since(start))
 }

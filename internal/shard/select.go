@@ -10,17 +10,17 @@ import (
 	"repro/internal/greedy"
 )
 
-// Select runs one top-K selection with the engine's own greedy drivers —
-// CELF (greedy.RunLazyWorkersStream) for Lazy, the full sweep
-// (greedy.RunWorkersStream) for Plain — over a scatterOracle, whose every
-// gain evaluation is one scatter-gather of the shards' integer partial sums.
+// Select runs one top-K selection with the engine's own greedy driver,
+// greedy.Run — CELF for Lazy, the per-round sweep of the uncommitted
+// candidates for Plain — over a scatterOracle, whose every gain evaluation
+// is one scatter-gather of the shards' integer partial sums.
 // The committed set grows one pick per round, and each worker serves a
 // round's set from its memo, extending the longest cached prefix of the
 // sorted set, so every later evaluation in the round is a memo hit.
 //
 // Selections — Nodes, Gains, the telescoped Objective and Evaluations — are
 // bit-identical to the unsharded engine for both strategies and every
-// worker count: the drivers are the same code, fed the same float64 gain
+// worker count: the driver is the same code, fed the same float64 gain
 // values (merged integer sums divided once by R) and resolving Workers the
 // same way.
 func (co *Coordinator) Select(ctx context.Context, req engine.SelectRequest) (*engine.SelectResult, error) {
@@ -63,30 +63,19 @@ func (co *Coordinator) selectRun(ctx context.Context, req engine.SelectRequest, 
 			Set: make([]int, 0, req.K),
 		},
 	}
-	round, total := 0, 0.0
-	obs := func(u int, gain float64) error {
-		// A pick made over a failed scatter's placeholder gains must not
-		// surface, whichever driver path reaches the observer first: the
-		// serial RunStream commits a round's best after its sweep without
-		// a context check.
-		if err := o.failed(); err != nil {
-			return err
-		}
-		round++
-		total += gain
-		if emit == nil {
-			return nil
-		}
-		return emit(engine.Round{Round: round, Node: u, Gain: gain, Objective: total})
-	}
 	lazy := req.Strategy != engine.Plain
 	workers := resolveWorkers(req.Workers)
-	run := greedy.RunWorkersStream
-	if lazy {
-		run = greedy.RunLazyWorkersStream
+	opts := greedy.Options{Lazy: lazy, Workers: workers}
+	if emit != nil {
+		// A failed scatter cancels runCtx, and greedy.Run checks its
+		// context before every commit, so no pick made over a failed
+		// scatter's placeholder gains reaches emit.
+		opts.Observe = func(pk greedy.Pick) error {
+			return emit(engine.Round{Round: pk.Round, Node: pk.Node, Gain: pk.Gain, Objective: pk.Total})
+		}
 	}
 	start := time.Now()
-	sel, err := run(runCtx, p.g.N(), req.K, o, workers, obs)
+	sel, err := greedy.Run(runCtx, p.g.N(), req.K, o, opts)
 	if ferr := o.failed(); ferr != nil {
 		return nil, ferr
 	}
@@ -109,9 +98,9 @@ func (co *Coordinator) selectRun(ctx context.Context, req engine.SelectRequest, 
 }
 
 // resolveWorkers resolves a request's Workers the way engine.Config's
-// defaults do (DefaultWorkers and MaxWorkers are both GOMAXPROCS), so the
-// lazy driver's re-evaluation batches — and with them Evaluations — match
-// the unsharded engine's.
+// defaults do (DefaultWorkers and MaxWorkers are both GOMAXPROCS), so CELF's
+// re-evaluation batches — and with them Evaluations — match the unsharded
+// engine's.
 func resolveWorkers(workers int) int {
 	procs := runtime.GOMAXPROCS(0)
 	if workers <= 0 || workers > procs {
@@ -127,10 +116,11 @@ func resolveWorkers(workers int) int {
 //
 // Oracle has no error return, so the first scatter error is recorded and
 // the run's context canceled: the driver stops at its next context check,
-// and the selection returns the recorded error instead of the context's.
+// before committing another pick, and the selection returns the recorded
+// error instead of the context's.
 //
 // GainBatch holds mu across its scatter, so one scatter is in flight at a
-// time. The drivers' goroutines exist to spread CPU-bound evaluation over
+// time. The driver's goroutines exist to spread CPU-bound evaluation over
 // cores; here evaluation runs on the workers, and each scatter already
 // calls every shard in parallel. Serializing keeps each shard's calls one
 // at a time and in order, as on the read path, so a worker shedding a
@@ -143,7 +133,7 @@ type scatterOracle struct {
 	r      int
 
 	mu sync.Mutex
-	// base carries the committed set; the drivers call Update only between
+	// base carries the committed set; greedy.Run calls Update only between
 	// sweeps, when no GainBatch is running.
 	base        engine.PartialGainRequest
 	err         error

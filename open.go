@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/latency"
 	"repro/internal/shard"
 )
 
@@ -17,8 +18,8 @@ import (
 // daemon runs on (internal/engine) — so embedded users get the whole
 // serving stack (shared walk indexes, build coalescing, memoized gain
 // reads with prefix extension, optional spill-to-disk and byte budgets)
-// through plain method calls. The legacy free functions in rwdom.go remain
-// as deprecated shims over a default Engine.
+// through plain method calls. Solve's AlgorithmApprox runs over a
+// throwaway default Engine.
 
 // Engine serves selections and gain queries over one graph. It is safe for
 // concurrent use; identical concurrent Select calls coalesce into one
@@ -82,7 +83,7 @@ type (
 	// ShardConnStats is one shard's request/error/retry counters.
 	ShardConnStats = shard.ConnStats
 	// ShardLatency summarizes the coordinator's merge latencies.
-	ShardLatency = shard.LatencySnapshot
+	ShardLatency = latency.Snapshot
 	// Delta is one atomic graph mutation: nodes to append, edges to add,
 	// edges to remove; see Engine.ApplyDelta.
 	Delta = graph.Delta
@@ -293,7 +294,7 @@ func Open(g *Graph, opts ...Option) (*Engine, error) {
 	cfg := openConfig{engine: engine.Config{
 		Graphs: map[string]*graph.Graph{defaultGraphName: g},
 		// Embedded callers chose their parameters deliberately; caps exist
-		// for network-facing deployments. (The greedy drivers still clamp
+		// for network-facing deployments. (The greedy driver still clamps
 		// workers to the candidate count.)
 		MaxR:       math.MaxInt32,
 		MaxK:       math.MaxInt32,
@@ -430,45 +431,32 @@ func (e *Engine) Close() error {
 	return e.e.Close()
 }
 
-// strategyOf maps the legacy Lazy flag onto a Strategy.
-func strategyOf(lazy bool) Strategy {
-	if lazy {
-		return Lazy
-	}
-	return Plain
-}
-
-// defaultEngineSelect routes one legacy facade selection through a
-// throwaway default Engine — the migration shim path. The result is
-// bit-for-bit what the old direct-core path computed (same index builder,
-// same greedy drivers), with the old Selection timing semantics
-// reconstructed from the engine's split timings.
+// defaultEngineSelect runs Solve's AlgorithmApprox through a throwaway
+// default Engine. The result is bit-for-bit what the direct core path
+// computes (same index builder, same greedy driver); BuildTime is the
+// index materialization, as for the other Solve algorithms.
 func defaultEngineSelect(g *Graph, opts Options, p index.Problem) (*Selection, error) {
 	en, err := Open(g, WithWorkers(opts.Workers))
 	if err != nil {
 		return nil, err
 	}
 	defer en.Close()
+	strategy := Plain
+	if opts.Lazy {
+		strategy = Lazy
+	}
 	res, err := en.Select(context.Background(), SelectRequest{
 		Problem:  p,
 		K:        opts.K,
 		L:        opts.L,
 		R:        opts.R,
 		Seed:     opts.Seed,
-		Strategy: strategyOf(opts.Lazy),
+		Strategy: strategy,
 		Workers:  opts.Workers,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return selectionFromResult(res, p, res.IndexBuild), nil
-}
-
-// selectionFromResult converts an engine result back into the legacy
-// Selection shape. buildTime follows the legacy convention of the call
-// site: index materialization for whole-graph runs, D-table setup for
-// shared-index runs.
-func selectionFromResult(res *SelectResult, p index.Problem, buildTime time.Duration) *Selection {
 	name := "ApproxF1"
 	if p == index.Problem2 {
 		name = "ApproxF2"
@@ -478,33 +466,7 @@ func selectionFromResult(res *SelectResult, p index.Problem, buildTime time.Dura
 		Nodes:       res.Nodes,
 		Gains:       res.Gains,
 		Evaluations: res.Evaluations,
-		BuildTime:   buildTime,
+		BuildTime:   res.IndexBuild,
 		SelectTime:  res.Select,
-	}
-}
-
-// defaultEngineSelectWithIndex routes a legacy shared-index selection
-// through a default Engine that adopts the caller's index.
-func defaultEngineSelectWithIndex(ix *Index, p Problem, k int, lazy bool, workers int) (*Selection, error) {
-	en, err := Open(ix.Graph(), WithWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	defer en.Close()
-	if err := en.AdoptIndex(ix); err != nil {
-		return nil, err
-	}
-	res, err := en.Select(context.Background(), SelectRequest{
-		Problem:  p,
-		K:        k,
-		L:        ix.L(),
-		R:        ix.R(),
-		Seed:     ix.Seed(),
-		Strategy: strategyOf(lazy),
-		Workers:  workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return selectionFromResult(res, p, res.TableBuild), nil
+	}, nil
 }
