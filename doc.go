@@ -87,11 +87,15 @@
 // rides in every derived identity (index cache keys, spill files, memoized
 // D-table keys, selection coalescing), so no post-mutation request can ever
 // be answered from a pre-mutation artifact. Resident walk indexes survive
-// the mutation by incremental repair — only the walk rows the delta touched
-// are regenerated, a cost proportional to the change rather than the graph
-// — and a repaired index answers bit-identically to a from-scratch rebuild
-// of the mutated graph (a parity suite enforces this across problems,
-// strategies, worker and shard counts). Structural conflicts (adding an
+// the mutation by copy-on-write incremental repair — only the walk rows the
+// delta touched are regenerated, into a successor index that shares the
+// original's untouched rows, at a cost proportional to the change plus one
+// copy of the n·R row tables — and a repaired index answers bit-identically
+// to a from-scratch rebuild of the mutated graph (a parity suite enforces
+// this across problems, strategies, worker and shard counts). Indexes that
+// in-flight queries still hold are repaired too: those queries finish on
+// the untouched original, and the next query uses the successor instead of
+// rebuilding. Structural conflicts (adding an
 // edge that exists, removing one that doesn't) and stale ApplyDeltaRequest
 // .BaseEpoch pins — the optimistic-concurrency handle for
 // read-modify-write callers — fail typed with ErrConflict and apply
@@ -193,8 +197,9 @@
 // budget — the working set may exceed RAM. Compressed spans decode on
 // read through a small hot-row cache; store-backed answers are
 // bit-identical to heap answers (a parity suite enforces it across
-// formats, problems, layouts, growth and repair — Repair first promotes
-// a mapped index onto the heap, since the mapping is read-only).
+// formats, problems, layouts, growth and repair — a repaired successor is
+// promoted onto the heap, since the mapping is read-only, while the mapped
+// original keeps serving its readers).
 // WithSpillFormat selects the writer ("v8", "v8raw", "v7"); corruption
 // anywhere in a spill file fails the open and triggers a counted rebuild,
 // never a wrong answer. Engine.Stats.Storage (and the daemon's /stats

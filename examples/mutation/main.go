@@ -74,7 +74,7 @@ func main() {
 	}
 	fmt.Printf("\napplied delta in %v: epoch %d, %d nodes / %d edges, %d adjacencies touched\n",
 		time.Since(start).Round(time.Microsecond), res.Epoch, res.Nodes, res.Edges, res.Touched)
-	fmt.Printf("cached artifacts: %d indexes repaired in place, %d dropped, %d memos invalidated\n",
+	fmt.Printf("cached artifacts: %d indexes repaired (copy-on-write), %d dropped, %d memos invalidated\n",
 		res.IndexesRepaired, res.IndexesDropped, res.MemosDropped)
 
 	// The repaired index serves immediately — no rebuild.

@@ -290,19 +290,19 @@ func (c *Cache[K, V]) Invalidate(match func(K) bool) int {
 }
 
 // Take removes every ready entry whose key matches — like Invalidate — but
-// transfers ownership of the unreferenced victims to the caller instead of
-// routing them through OnEvict: once Take returns, no map entry and no live
-// handle references a returned value, so the caller may mutate it freely
-// (the index cache uses this to repair walk indexes in place after a graph
-// mutation). Entries still pinned by a handle are orphaned exactly as
-// Invalidate orphans them — removed from the map, value released for
-// collection when the last holder calls Release — and are reported by key
-// only, since their values are still shared with live readers. Entries
-// still populating are skipped entirely: their leader will publish under a
-// key the caller has already decided is stale, which is wasteful but
-// harmless (nothing resolves that key again) and the leader's handle keeps
-// the entry pinned anyway.
-func (c *Cache[K, V]) Take(match func(K) bool) (taken []Entry[K, V], orphaned []K) {
+// hands the victims to the caller instead of routing them through OnEvict.
+// taken holds the unreferenced ones: once Take returns, no map entry and no
+// live handle references them, so the caller may mutate them freely (the
+// index cache's in-place repair path relies on this). orphaned holds the
+// ones still pinned by a handle, orphaned exactly as Invalidate orphans
+// them — removed from the map, value released for collection when the last
+// holder calls Release; their values are still shared with live readers,
+// so the caller may only read them (the engine derives copy-on-write
+// successors from them). Entries still populating are skipped entirely:
+// their leader will publish under a key the caller has already decided is
+// stale, which is wasteful but harmless (nothing resolves that key again)
+// and the leader's handle keeps the entry pinned anyway.
+func (c *Cache[K, V]) Take(match func(K) bool) (taken, orphaned []Entry[K, V]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.entries {
@@ -311,10 +311,11 @@ func (c *Cache[K, V]) Take(match func(K) bool) (taken []Entry[K, V], orphaned []
 		}
 		c.removeLocked(e)
 		c.stats.Invalidated++
+		v := Entry[K, V]{Key: e.key, Value: e.value, Bytes: e.bytes}
 		if e.refs == 0 {
-			taken = append(taken, Entry[K, V]{Key: e.key, Value: e.value, Bytes: e.bytes})
+			taken = append(taken, v)
 		} else {
-			orphaned = append(orphaned, e.key)
+			orphaned = append(orphaned, v)
 		}
 	}
 	return taken, orphaned

@@ -23,8 +23,10 @@
 //
 // Graphs are mutable at runtime: ApplyDelta applies an edge/node delta
 // copy-on-write, bumps the graph's mutation epoch, and repairs the resident
-// walk indexes incrementally (internal/index.Repair regenerates only the
-// affected walk rows) instead of dropping them for full rebuilds. Every
+// walk indexes incrementally and copy-on-write (internal/index.Repaired
+// regenerates only the affected walk rows into a successor, leaving the
+// original to the reads that hold it) instead of dropping them for full
+// rebuilds. Every
 // cached artifact — index cache keys, spill files, memoized D-tables,
 // singleflight selection keys — carries the epoch, so a pre-mutation
 // artifact can never serve a post-mutation request.

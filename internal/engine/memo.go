@@ -92,10 +92,10 @@ func isPrefix(p, set []int) bool {
 }
 
 // memoKey identifies one cached D-table. A table is only valid for the
-// index instance it was built on: ApplyDelta repairs an index in place
-// (and re-adopts it under the next epoch's key) while a fresh instance may
-// already serve the old key, so the key carries the instance as well as
-// its identity. acquire fills ix; callers leave it nil.
+// index instance it was built on: a straggler read may rebuild a fresh
+// instance under a key whose original is still pinned by earlier readers,
+// so the key carries the instance as well as its identity. acquire fills
+// ix; callers leave it nil.
 type memoKey struct {
 	idx     index.CacheKey
 	ix      *index.Index
@@ -381,6 +381,17 @@ func (c *memoCache) dropIndexes(keys []index.CacheKey) int {
 		evicted[k] = true
 	}
 	return c.core.Invalidate(func(k memoKey) bool { return evicted[k.idx] })
+}
+
+// dropGraphBefore removes every memoized table of the named graph keyed at
+// an epoch before epoch — the mutation path's invalidation. It covers the
+// tables of every index the mutation displaced, and also tables a late
+// reader populated after an earlier mutation had already displaced their
+// index: a read that resolved its epoch before that mutation still
+// memoizes under the old key, and only an epoch sweep reaches the table.
+// Pinned tables are orphaned as in dropIndexes. Returns the number dropped.
+func (c *memoCache) dropGraphBefore(name string, epoch uint64) int {
+	return c.core.Invalidate(func(k memoKey) bool { return k.idx.Graph == name && k.idx.Epoch < epoch })
 }
 
 // noteEmptyHit records an empty-set request served off the index.

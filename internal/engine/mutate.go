@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/index"
 )
 
 // This file is the engine's mutation entrypoint: ApplyDelta applies an edge
@@ -23,15 +22,18 @@ import (
 //     graph, and a request resolved after can never hit a pre-mutation
 //     artifact.
 //
-//   - Resident indexes are taken, repaired, and re-adopted under the
-//     post-mutation key. Cache.TakeGraph transfers exclusive ownership of
-//     the unpinned indexes (pinned ones are orphaned: their in-flight
-//     readers finish on a consistent pre-mutation answer and the last
-//     release frees them); each current-epoch index is repaired in place
-//     (internal/index.Repair regenerates only the walk rows the delta
-//     touched) and re-adopted, anything unrepairable is dropped, and every
-//     displaced key's memoized D-tables are invalidated through the same
-//     linkage an index eviction uses.
+//   - Resident indexes are detached, repaired copy-on-write, and the
+//     successors adopted under the post-mutation key. Cache.DetachGraph
+//     removes every resident index of the graph, pinned or not; each
+//     current-epoch index yields a successor (internal/index.Repaired
+//     regenerates only the walk rows the delta touched and never writes
+//     memory the original can read), so in-flight readers finish on their
+//     untouched pre-mutation instance while the next read hits the
+//     successor. Indexes built from explicit walks or left at an older
+//     epoch are dropped. Every memoized D-table of the graph keyed at an
+//     older epoch is invalidated — including tables a late reader
+//     populated after an earlier delta had already displaced its index —
+//     so no superseded instance stays pinned by the memo.
 
 // ApplyDeltaRequest asks for a graph mutation. Graph may be empty when the
 // engine serves exactly one graph.
@@ -59,13 +61,13 @@ type ApplyDeltaResult struct {
 	// Touched is the number of nodes whose adjacency the delta changed.
 	Touched int
 	// IndexesRepaired counts resident walk indexes carried across the
-	// mutation by incremental repair; IndexesDropped the resident indexes
-	// that could not be (pinned by in-flight reads, built from raw walks,
-	// or at an older epoch) and will rebuild on next use.
+	// mutation by copy-on-write repair, whether or not a read held them;
+	// IndexesDropped the resident indexes that could not be (built from
+	// explicit walks, or at an older epoch) and will rebuild on next use.
 	IndexesRepaired int
 	IndexesDropped  int
-	// MemosDropped counts memoized D-tables invalidated because their
-	// index identity is pre-mutation.
+	// MemosDropped counts memoized D-tables of the graph invalidated
+	// because they are keyed at a pre-mutation epoch.
 	MemosDropped int
 }
 
@@ -77,9 +79,10 @@ type ApplyDeltaResult struct {
 // that exists, removing one that doesn't, a stale BaseEpoch) fail with
 // CodeConflict and apply nothing.
 //
-// Resident walk indexes for the graph are repaired in place when possible
-// (cost proportional to the delta's affected-walk population, not the
-// graph), so a mutation on a warm engine keeps it warm.
+// Resident walk indexes for the graph are repaired copy-on-write (cost
+// proportional to the delta's affected-walk population plus one copy of
+// the n·R row tables), pinned or not, so a mutation on a warm engine keeps
+// it warm.
 //
 // ctx is accepted for surface symmetry with the rest of the public API but
 // not consulted: an admitted mutation is quick (no walk sampling beyond the
@@ -119,29 +122,23 @@ func (e *Engine) ApplyDelta(ctx context.Context, req ApplyDeltaRequest) (*ApplyD
 		Touched: len(touched),
 	}
 
-	// Displace every resident index for this graph. Unpinned current-epoch
-	// indexes are repaired and re-adopted under the post-mutation key;
-	// everything else (pinned, walk-adopted, older-epoch stragglers) is
-	// dropped and rebuilds on next use. Stale keys — repaired or not — lose
-	// their memoized D-tables first, so no later lookup can reach a table
-	// whose index is being rewritten in place.
-	taken, orphaned := e.cache.TakeGraph(name)
-	staleKeys := make([]index.CacheKey, 0, len(taken)+len(orphaned))
-	staleKeys = append(staleKeys, orphaned...)
-	for _, t := range taken {
-		staleKeys = append(staleKeys, t.Key)
-	}
+	// Displace every resident index for this graph. Each current-epoch
+	// index yields a copy-on-write successor adopted under the
+	// post-mutation key; readers still holding the original finish on it.
+	// Everything else (walk-adopted, older-epoch stragglers) is dropped and
+	// rebuilds on next use.
 	if e.memo != nil {
-		res.MemosDropped = e.memo.dropIndexes(staleKeys)
+		res.MemosDropped = e.memo.dropGraphBefore(name, ng.Epoch())
 	}
-	res.IndexesDropped = len(orphaned)
-	for _, t := range taken {
-		if t.Key.Epoch == g.Epoch() && t.Index.Repair(ng, touched) == nil {
-			newKey := t.Key
-			newKey.Epoch = ng.Epoch()
-			if e.cache.Adopt(newKey, t.Index) == nil {
-				res.IndexesRepaired++
-				continue
+	for _, d := range e.cache.DetachGraph(name) {
+		if d.Key.Epoch == g.Epoch() {
+			if s, err := d.Value.Repaired(ng, touched); err == nil {
+				key := d.Key
+				key.Epoch = ng.Epoch()
+				if e.cache.Adopt(key, s) == nil {
+					res.IndexesRepaired++
+					continue
+				}
 			}
 		}
 		res.IndexesDropped++

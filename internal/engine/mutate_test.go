@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -109,12 +110,11 @@ func TestApplyDeltaRepairsResidentIndex(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaDropsPinnedIndex: an index pinned by an in-flight request at
-// mutation time cannot be repaired in place (the reader is concurrently
-// scanning its rows), so it is orphaned — the reader finishes on a
-// consistent pre-mutation answer — and the next post-mutation request
-// rebuilds.
-func TestApplyDeltaDropsPinnedIndex(t *testing.T) {
+// TestApplyDeltaRepairsPinnedIndex: an index pinned by an in-flight request
+// at mutation time is repaired copy-on-write — the reader keeps scanning
+// its untouched pre-mutation instance, and the next post-mutation request
+// hits the repaired successor instead of rebuilding.
+func TestApplyDeltaRepairsPinnedIndex(t *testing.T) {
 	g := testGraph(t, 300, 6)
 	e := newTestEngine(t, Config{Graphs: map[string]*graph.Graph{"test": g}})
 	key := index.CacheKey{Graph: "test", L: 4, R: 10, Seed: 1}
@@ -125,13 +125,14 @@ func TestApplyDeltaDropsPinnedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantIDs, wantHops := h.Index().Row(5, 0) // any row read; pins the pre-mutation walks
+	wantIDs, wantHops = slices.Clone(wantIDs), slices.Clone(wantHops)
 
 	res, err := e.ApplyDelta(context.Background(), ApplyDeltaRequest{Graph: "test", Delta: graph.Delta{RemoveEdges: []graph.Edge{firstEdge(t, g)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.IndexesRepaired != 0 || res.IndexesDropped != 1 {
-		t.Fatalf("repaired %d, dropped %d; want the pinned index dropped", res.IndexesRepaired, res.IndexesDropped)
+	if res.IndexesRepaired != 1 || res.IndexesDropped != 0 {
+		t.Fatalf("repaired %d, dropped %d; want the pinned index repaired", res.IndexesRepaired, res.IndexesDropped)
 	}
 	// The held handle still reads the untouched pre-mutation index.
 	gotIDs, gotHops := h.Index().Row(5, 0)
@@ -142,6 +143,66 @@ func TestApplyDeltaDropsPinnedIndex(t *testing.T) {
 		t.Fatal("pinned index must stay at its pre-mutation epoch")
 	}
 	h.Release()
+
+	req := SelectRequest{Graph: "test", K: 5, L: key.L, R: key.R, Seed: key.Seed}
+	got, err := e.Select(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.IndexCached {
+		t.Fatal("post-mutation select rebuilt the index despite the repaired successor")
+	}
+	ng, _ := e.Graph("test")
+	fresh := newTestEngine(t, Config{Graphs: map[string]*graph.Graph{"test": ng}})
+	want, err := fresh.Select(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Nodes, want.Nodes) || !reflect.DeepEqual(got.Gains, want.Gains) || got.Evaluations != want.Evaluations {
+		t.Fatalf("successor selection diverges from rebuild:\n got %v %v (%d evals)\nwant %v %v (%d evals)",
+			got.Nodes, got.Gains, got.Evaluations, want.Nodes, want.Gains, want.Evaluations)
+	}
+}
+
+// TestApplyDeltaDropsLateMemoTables: a read that resolved its epoch before
+// a delta can populate its D-table after ApplyDelta has already displaced
+// that epoch's index and dropped its tables. The next delta must drop such
+// a late table too, or it pins its superseded index until memo LRU pushes
+// it out.
+func TestApplyDeltaDropsLateMemoTables(t *testing.T) {
+	g := testGraph(t, 300, 6)
+	e := newTestEngine(t, Config{Graphs: map[string]*graph.Graph{"test": g}})
+	key := index.CacheKey{Graph: "test", L: 4, R: 10, Seed: 1}
+	h, err := e.cache.Acquire(key, g, func() (*index.Index, error) {
+		return index.BuildWorkers(g, key.L, key.R, key.Seed, 1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := func(d graph.Delta) {
+		t.Helper()
+		if _, err := e.ApplyDelta(context.Background(), ApplyDeltaRequest{Graph: "test", Delta: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edge := firstEdge(t, g)
+	delta(graph.Delta{RemoveEdges: []graph.Edge{edge}})
+
+	// The late reader populates its table at epoch 0, after the delta.
+	set := []int{1, 2}
+	mh, _, err := e.memo.acquire(memoKey{idx: key, problem: index.Problem2, set: setKeyOf(set)}, set, h.Index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mh.Release()
+	h.Release()
+
+	delta(graph.Delta{AddEdges: []graph.Edge{edge}})
+	for _, k := range e.memo.core.Keys() {
+		if k.idx.Graph == "test" && k.idx.Epoch < 2 {
+			t.Fatalf("memo table at epoch %d survived the epoch-2 delta", k.idx.Epoch)
+		}
+	}
 }
 
 // TestApplyDeltaInvalidatesMemo is the PR's satellite-2 regression: before

@@ -22,8 +22,8 @@ import (
 // order-independent). The storeparity test sweep pins this.
 //
 // Mutation is the one operation mapped pages cannot serve (the mapping is
-// PROT_READ): Repair promotes the index to heap first — see Promote, the
-// store→heap copy-on-write path.
+// PROT_READ): a repair promotes into its successor (Repaired), leaving the
+// mapped original to its readers; Promote converts an index in place.
 
 // StoreOptions configures how LoadStore binds a store file.
 type StoreOptions struct {
@@ -124,14 +124,13 @@ func LoadStore(path string, g *graph.Graph, opt StoreOptions) (*Index, error) {
 	}, nil
 }
 
-// Promote materializes a store-backed index onto the heap — the copy-on-
-// write boundary of the backing abstraction. Raw chunks copy their aliased
-// arrays; compressed chunks decode in full. Afterwards the index owns every
-// array, drops its reference to the store file (unmapping follows when the
-// last reference goes), and behaves exactly like a fresh heap build —
-// Repair calls this first, since mutation needs writable arrays and the
-// mapping is read-only. No-op on heap-resident indexes. Like every
-// mutation, Promote must not run concurrently with readers.
+// Promote materializes a store-backed index onto the heap in place. Raw
+// chunks copy their aliased arrays; compressed chunks decode in full.
+// Afterwards the index owns every array, drops its reference to the store
+// file (unmapping follows when the last reference goes), and behaves
+// exactly like a fresh heap build. No-op on heap-resident indexes. Like
+// every in-place mutation, Promote must not run concurrently with readers;
+// a repair promotes into its successor instead (Repaired).
 func (ix *Index) Promote() error {
 	if ix.parts != nil {
 		for _, pt := range ix.parts {

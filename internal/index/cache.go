@@ -417,9 +417,10 @@ func (c *Cache) spill(victims []cache.Entry[CacheKey, *Index]) {
 // spillCurrent reports whether ix's bytes are already durable at path: a
 // store-backed index loaded from that very spill file, still covering its
 // whole replicate range (ExtendReplicates since load would have widened it).
-// Resident indexes are immutable (Repair only happens on indexes removed
-// via TakeGraph), so re-serializing an unchanged store-backed index on
-// eviction would write back the bytes it is serving from.
+// Resident indexes are immutable (a graph mutation repairs copy-on-write,
+// or in place only after TakeGraph removed the index), so re-serializing an
+// unchanged store-backed index on eviction would write back the bytes it
+// is serving from.
 func (c *Cache) spillCurrent(ix *Index, path string) bool {
 	if !ix.storeComplete() || ix.StorePath() != path {
 		return false
@@ -459,15 +460,32 @@ type TakenIndex struct {
 // nothing new can acquire them. Neither set flows through the eviction
 // hook: nothing is spilled (the values are about to be repaired or
 // dropped, and a pre-mutation file on disk is unreachable anyway — the
-// post-mutation key has a different spill path), and the caller is the
-// serving layer itself, which drops the dependent memo tables explicitly.
+// post-mutation key has a different spill path), and the caller drops the
+// dependent memo tables explicitly. Only the serving benchmark's kernel
+// replay still repairs in place through TakeGraph; the engine uses
+// DetachGraph and copy-on-write successors.
 func (c *Cache) TakeGraph(name string) (taken []TakenIndex, orphaned []CacheKey) {
-	entries, orphaned := c.core.Take(func(k CacheKey) bool { return k.Graph == name })
+	entries, pinned := c.core.Take(func(k CacheKey) bool { return k.Graph == name })
 	taken = make([]TakenIndex, 0, len(entries))
 	for _, e := range entries {
 		taken = append(taken, TakenIndex{Key: e.Key, Index: e.Value})
 	}
+	for _, e := range pinned {
+		orphaned = append(orphaned, e.Key)
+	}
 	return taken, orphaned
+}
+
+// DetachGraph removes every resident index for the named graph, pinned or
+// not, and returns each with the key it was resident under. Nothing new can
+// acquire them; readers holding one finish on it, and the last release
+// frees it. The caller may only read the returned indexes — a graph
+// mutation derives their copy-on-write successors (Index.Repaired) and
+// adopts those under the post-mutation keys. Like TakeGraph, nothing flows
+// through the eviction hook or is spilled.
+func (c *Cache) DetachGraph(name string) []cache.Entry[CacheKey, *Index] {
+	unpinned, pinned := c.core.Take(func(k CacheKey) bool { return k.Graph == name })
+	return append(unpinned, pinned...)
 }
 
 // EvictIdle evicts every unreferenced entry whose last use is not newer than

@@ -79,9 +79,11 @@ func (p Problem) String() string {
 }
 
 // Index is the inverted index of Algorithm 3. It is safe for concurrent
-// readers and immutable under them; the only mutation is Repair (mutate.go),
-// which requires the caller to exclude readers for its duration. D-tables
-// carry the per-query mutable state.
+// readers and immutable under them. A graph delta does not modify it:
+// Repaired (mutate.go) derives a copy-on-write successor while readers keep
+// scanning this instance. The in-place mutations — Repair, Compact,
+// Promote and ExtendReplicates — require the caller to exclude readers for
+// their duration. D-tables carry the per-query mutable state.
 type Index struct {
 	g *graph.Graph
 	l int
@@ -100,11 +102,11 @@ type Index struct {
 	seed uint64
 
 	// gepoch is the mutation epoch of the graph the entries reflect: equal to
-	// g.Epoch() at build time and advanced by every Repair. It is part of the
-	// serialized identity (format v6), so a spill file written before a
-	// mutation can never warm-load as current afterwards even when the
-	// mutation round-trips the structure (fingerprint alone cannot tell
-	// "mutated back" from "never mutated").
+	// g.Epoch() at build time and one past the predecessor's after a repair.
+	// It is part of the serialized identity (format v6), so a spill file
+	// written before a mutation can never warm-load as current afterwards
+	// even when the mutation round-trips the structure (fingerprint alone
+	// cannot tell "mutated back" from "never mutated").
 	gepoch uint64
 	// fromWalks marks indexes assembled by BuildFromWalks: their walks were
 	// supplied, not sampled from seed, so Repair cannot deterministically
@@ -128,7 +130,7 @@ type Index struct {
 	// by source; a source appears at most once per row.
 	//
 	// Freshly built or loaded indexes are compact: ends is nil and row k is
-	// ids[offsets[k]:offsets[k+1]]. After a Repair the index is patched: ends
+	// ids[offsets[k]:offsets[k+1]]. A repaired index is patched: ends
 	// is non-nil, row k is ids[offsets[k]:ends[k]], rows need not be adjacent
 	// or in order, and dead counts unreachable slots (shrunken-row slack and
 	// relocated rows' old storage). Compact restores the canonical compact
@@ -139,6 +141,10 @@ type Index struct {
 	hops    []uint16
 	ends    []int64
 	dead    int64
+	// tailClaimed is set by the one successor (Repaired) allowed to append
+	// into the spare capacity of ids/hops past their length; any other
+	// successor copies.
+	tailClaimed atomic.Bool
 
 	// stf, when non-nil, marks a store-backed index (backing.go): the CSR
 	// data lives in a format-v8 store file (internal/store), served either
@@ -152,8 +158,8 @@ type Index struct {
 	// sb, when non-nil, serves this flat chunk's rows by decoding the
 	// file's compressed spans on read (with a hot-row cache) instead of
 	// materialized arrays; offsets/ids/hops are nil and sbEntries holds the
-	// chunk's entry count from the file directory. Mutation promotes to
-	// heap first (Promote).
+	// chunk's entry count from the file directory. A repaired successor is
+	// always heap-resident.
 	sb        *store.Spans
 	sbEntries int64
 
@@ -161,8 +167,9 @@ type Index struct {
 	// Problem 1, slot 1: Problem 2), computed lazily by EmptySetGains under
 	// emptyMu, which makes the index safe to share across concurrent callers.
 	// emptySums is the integer-domain twin serving the partial read path
-	// (EmptySetGainSums). Repair drops both (the entries they summarize
-	// changed); a plain mutex rather than sync.Once keeps the memo resettable.
+	// (EmptySetGainSums). An in-place Repair drops both (the entries they
+	// summarize changed); a plain mutex rather than sync.Once keeps the memo
+	// resettable.
 	emptyMu    sync.Mutex
 	emptyGains [2][]float64
 	emptySums  [2][]int64
@@ -514,7 +521,8 @@ func (ix *Index) R0() int { return ix.rbase }
 func (ix *Index) Seed() uint64 { return ix.seed }
 
 // GraphEpoch returns the mutation epoch of the graph state the index
-// reflects: g.Epoch() at build time, advanced by every Repair.
+// reflects: g.Epoch() at build time, one past the predecessor's after a
+// repair.
 func (ix *Index) GraphEpoch() uint64 { return ix.gepoch }
 
 // Entries returns the number of materialized (source, first-visit) pairs;

@@ -83,7 +83,7 @@ func (ix *Index) emptySumInt(p Problem, u int) int64 {
 // EmptySetGains returns the marginal gain of every node against the empty
 // set — Gain(u) of a fresh D-table — computed directly from the index
 // entries without materializing any n·R table. The vector is computed once
-// per problem and memoized on the index until the next Repair drops it, so
+// per problem and memoized on the index until an in-place Repair drops it, so
 // steady-state calls are free; it is safe for concurrent callers. The
 // returned slice is shared and must not be modified.
 //
@@ -111,7 +111,7 @@ func (ix *Index) EmptySetGains(p Problem) ([]float64, error) {
 // EmptySetGainSums is EmptySetGains in the integer domain: the gain sum of
 // every node against the empty set, before the division by R. Like
 // EmptySetGains the vector is computed once per problem and memoized on the
-// index until the next Repair; the returned slice is shared and must not be
+// index until an in-place Repair; the returned slice is shared and must not be
 // modified. It is the empty-set fast path of the partial (replicate-sharded)
 // read surface, where answers stay integral so the coordinator can merge
 // shard ranges exactly.

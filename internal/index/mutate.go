@@ -2,7 +2,8 @@ package index
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -25,12 +26,23 @@ import (
 //     walk reaching a new node must traverse a new edge and therefore leaves
 //     from a touched node first, so it is already in the affected set.
 //
-// Repair replays each affected walk on the old graph to locate the entries
-// it contributed, regenerates it on the new graph, and applies the edits
-// row-by-row, leaving the index patched (see the layout comment in index.go)
-// until enough storage is dead to warrant compaction. The cost is
-// proportional to the walks the delta disturbs — O(|affected|·L) plus the
-// touched-row edits — not to the nRL cost of a full rebuild.
+// Repair is copy-on-write: Repaired leaves the receiver untouched and
+// returns a successor, so a graph delta can repair an index that in-flight
+// reads still hold. The successor gets its own copy of the two row tables
+// (offsets and ends, n·R entries each) and appends every edited row past
+// the end of the entry storage the receiver reads. When the receiver's
+// ids/hops arrays have spare capacity for the rewritten rows, the successor
+// appends into it in place; an atomic claim on the receiver hands that
+// capacity to exactly one successor. Any other successor — and one the
+// capacity is too short for — starts from a compacted copy with spare
+// capacity of its own (tailSlack), which also drops the dead storage (the
+// old spans of relocated rows). Row edits are gathered as one flat list,
+// sorted by row with a stable radix sort (each row's entries are emitted
+// in ascending source order, which the sort keeps), and merged into each
+// edited row in a single linear pass. The cost is the O(n·R) row-table
+// copy plus work proportional to the walks the delta disturbs —
+// O(|affected|·L) plus the edited rows — not the nRL cost of a full
+// rebuild.
 
 // ErrUnrepairable marks indexes Repair cannot service: BuildFromWalks
 // assembles entries from caller-provided walks, which cannot be regenerated
@@ -41,134 +53,136 @@ var ErrUnrepairable = fmt.Errorf("index: built from explicit walks, cannot repai
 // physical entry storage is dead.
 const compactThreshold = 0.5
 
-// rowEdit accumulates one row's pending changes: sources whose old entry
-// must go, and the regenerated entries to insert.
+// rowEdit is one pending change to row (v, i) = v·R+i: drop source src's
+// old entry, or insert src at hop.
 type rowEdit struct {
-	remove map[int32]struct{}
-	ids    []int32
-	hops   []uint16
+	row    int64
+	src    int32
+	hop    uint16
+	remove bool
 }
 
-// entrySorter sorts a row's (id, hop) pairs by source id. Build emits each
-// row's entries in ascending source order for every worker count, so keeping
-// repaired rows sorted is what makes a compacted repair bit-identical to a
-// full rebuild.
-type entrySorter struct {
-	ids  []int32
-	hops []uint16
-}
-
-func (s *entrySorter) Len() int           { return len(s.ids) }
-func (s *entrySorter) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s *entrySorter) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.hops[i], s.hops[j] = s.hops[j], s.hops[i]
-}
-
-// Repair updates the index in place from the graph it currently reflects to
-// ng, the result of exactly one graph.ApplyDelta (ng.Epoch() must be one
-// past the index's GraphEpoch). touched is the delta's touched-node list as
-// returned by ApplyDelta. After Repair the index answers every query exactly
-// as a fresh build against ng would: Compact() followed by comparing the CSR
-// arrays to a rebuild is bit-identical, which the parity tests assert.
+// Repaired returns the index a fresh build against ng would produce, given
+// that ng is the result of exactly one graph.ApplyDelta on the graph ix
+// reflects (ng.Epoch() must be one past ix.GraphEpoch()) and touched is the
+// delta's touched-node list. Compact() on the successor followed by
+// comparing the CSR arrays to a rebuild is bit-identical, which the parity
+// tests assert.
 //
-// Repair mutates the index and is NOT safe to run concurrently with any
-// reader (Gain, Update, Row, EmptySetGains, WriteTo, ...); the engine
-// serializes it against in-flight queries. D-tables created before a Repair
-// are invalid afterwards and must be discarded.
-func (ix *Index) Repair(ng *graph.Graph, touched []int) error {
+// Repaired never writes memory ix can read, so it may run while other
+// goroutines read ix; ix keeps answering for its own epoch. Store-backed
+// indexes are promoted onto the heap in the successor only, so a mapped
+// original stays valid for its readers. D-tables and empty-set memos of ix
+// do not carry over.
+func (ix *Index) Repaired(ng *graph.Graph, touched []int) (*Index, error) {
 	if ix.fromWalks {
-		return ErrUnrepairable
+		return nil, ErrUnrepairable
 	}
 	if ng == nil {
-		return fmt.Errorf("index: repair against nil graph")
+		return nil, fmt.Errorf("index: repair against nil graph")
 	}
 	if ng.Epoch() != ix.gepoch+1 {
-		return fmt.Errorf("index: repair applies one delta: index at graph epoch %d, graph at %d (want %d)",
+		return nil, fmt.Errorf("index: repair applies one delta: index at graph epoch %d, graph at %d (want %d)",
 			ix.gepoch, ng.Epoch(), ix.gepoch+1)
 	}
 	oldN, newN := ix.g.N(), ng.N()
 	if newN < oldN {
-		return fmt.Errorf("index: repair shrank the graph (%d -> %d nodes)", oldN, newN)
+		return nil, fmt.Errorf("index: repair shrank the graph (%d -> %d nodes)", oldN, newN)
 	}
 	for _, t := range touched {
 		if t < 0 || t >= newN {
-			return fmt.Errorf("index: touched node %d out of range [0,%d)", t, newN)
+			return nil, fmt.Errorf("index: touched node %d out of range [0,%d)", t, newN)
 		}
-	}
-	// Mutation needs writable arrays; a store-backed index serves off
-	// read-only pages, so copy-on-write onto the heap first (backing.go).
-	if err := ix.Promote(); err != nil {
-		return err
 	}
 	if ix.parts != nil {
 		// Chunks are self-contained partial indexes over disjoint replicate
-		// ranges, so each repairs independently against the same delta; the
-		// parent then advances its aggregate graph state.
+		// ranges, so each repairs independently against the same delta.
+		s := &Index{g: ng, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ng.Epoch(),
+			parts: make([]*Index, 0, len(ix.parts))}
 		for _, pt := range ix.parts {
-			if err := pt.Repair(ng, touched); err != nil {
-				return err
+			ps, err := pt.Repaired(ng, touched)
+			if err != nil {
+				return nil, err
 			}
+			s.parts = append(s.parts, ps)
 		}
-		ix.g = ng
-		ix.gepoch = ng.Epoch()
-		ix.resetEmptyMemos()
-		return nil
+		return s, nil
 	}
-	R := ix.r
-	L := ix.l
-	oldRows := int64(oldN) * int64(R)
-	newRows := int64(newN) * int64(R)
+	src := ix
+	if ix.sb != nil {
+		// A decode-on-read chunk has no arrays to read rows from: decode it
+		// whole into a private heap view.
+		o, ids, hops, err := ix.sb.Materialize()
+		if err != nil {
+			return nil, fmt.Errorf("index: promote store-backed chunk: %w", err)
+		}
+		src = &Index{g: ix.g, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ix.gepoch,
+			offsets: o, ids: ids, hops: hops}
+	}
+	edits, grow := src.rowEdits(ng, touched)
+	s := src.successor(ng, grow)
+	s.merge(edits)
+	if float64(s.dead) > compactThreshold*float64(len(s.ids)) {
+		s.Compact()
+	}
+	return s, nil
+}
 
-	// Enter the patched layout (idempotent), then grow the row space for any
-	// added nodes: new rows start empty at the current tail.
-	if ix.ends == nil {
-		ends := make([]int64, oldRows, newRows)
-		copy(ends, ix.offsets[1:oldRows+1])
-		ix.ends = ends
+// Repair is Repaired applied in place: the receiver becomes its own
+// successor. It is NOT safe to run concurrently with any reader of the
+// receiver (Gain, Update, Row, EmptySetGains, WriteTo, ...), and D-tables
+// created before it are invalid afterwards. The engine never repairs in
+// place; it adopts Repaired's successor instead.
+func (ix *Index) Repair(ng *graph.Graph, touched []int) error {
+	s, err := ix.Repaired(ng, touched)
+	if err != nil {
+		return err
 	}
-	if newRows > oldRows {
-		tail := int64(len(ix.ids))
-		off := make([]int64, newRows+1)
-		copy(off, ix.offsets[:oldRows+1])
-		for k := oldRows; k <= newRows; k++ {
-			off[k] = tail
-		}
-		ix.offsets = off
-		for k := oldRows; k < newRows; k++ {
-			ix.ends = append(ix.ends, tail)
-		}
-	}
+	ix.g, ix.gepoch, ix.parts = s.g, s.gepoch, s.parts
+	ix.offsets, ix.ids, ix.hops, ix.ends, ix.dead = s.offsets, s.ids, s.hops, s.ends, s.dead
+	ix.stf, ix.sb, ix.sbEntries = nil, nil, 0
+	ix.tailClaimed.Store(false)
+	ix.resetEmptyMemos()
+	return nil
+}
 
-	// Affected walks, keyed w·R+i. Touched nodes beyond oldN are new; they
-	// have no old rows and their walks are generated in the new-node loop.
-	affected := make(map[int64]struct{})
+// rowEdits regenerates, from flat heap-readable ix, every walk the delta
+// to ng disturbed: it replays each on ix's graph to find the entries it
+// contributed, regenerates it on ng, and generates the walks of added
+// nodes. It returns the resulting edits sorted by row, and grow, the number
+// of entries the edited rows will occupy once rewritten.
+func (ix *Index) rowEdits(ng *graph.Graph, touched []int) (edits []rowEdit, grow int64) {
+	R, L := ix.r, ix.l
+	og := ix.g
+	oldN, newN := og.N(), ng.N()
+
+	// Affected walks, keyed w·R+i: walks starting at a touched node, and
+	// every walk its old rows record as visiting it. Touched nodes beyond
+	// oldN are new; their walks are generated with the other new nodes'.
+	var walkIDs []int64
 	for _, t := range touched {
 		if t >= oldN {
 			continue
 		}
 		for i := 0; i < R; i++ {
 			k := int64(t)*int64(R) + int64(i)
-			affected[k] = struct{}{}
-			lo, hi := ix.offsets[k], ix.ends[k]
+			walkIDs = append(walkIDs, k)
+			lo, hi := ix.span(k)
 			for _, w := range ix.ids[lo:hi] {
-				affected[int64(w)*int64(R)+int64(i)] = struct{}{}
+				walkIDs = append(walkIDs, int64(w)*int64(R)+int64(i))
 			}
 		}
 	}
-	walkIDs := make([]int64, 0, len(affected))
-	for k := range affected {
-		walkIDs = append(walkIDs, k)
-	}
-	sort.Slice(walkIDs, func(i, j int) bool { return walkIDs[i] < walkIDs[j] })
+	slices.Sort(walkIDs)
+	walkIDs = slices.Compact(walkIDs)
 
 	visited := make([]uint32, newN)
 	var generation uint32
 	var rnd rng.Source
-	// replay regenerates walk (w, i) on g and reports its first visits —
-	// exactly the build's walk loop, so replaying on the old graph yields the
-	// entries the build materialized.
-	replay := func(g *graph.Graph, w, i int, emit func(v int32, hop uint16)) {
+	// replay regenerates walk (w, i) on g and records its first visits as
+	// edits — exactly the build's walk loop, so replaying on the old graph
+	// yields the entries the build materialized.
+	replay := func(g *graph.Graph, w, i int, remove bool) {
 		rnd.Seed(rng.Mix(ix.seed, uint64(w), uint64(ix.rbase+i)))
 		generation++
 		visited[w] = generation
@@ -180,112 +194,186 @@ func (ix *Index) Repair(ng *graph.Graph, touched []int) error {
 			}
 			if visited[v] != generation {
 				visited[v] = generation
-				emit(int32(v), uint16(j))
+				edits = append(edits, rowEdit{row: int64(v)*int64(R) + int64(i), src: int32(w), hop: uint16(j), remove: remove})
 			}
 			u = v
 		}
 	}
-
-	edits := make(map[int64]*rowEdit)
-	edit := func(k int64) *rowEdit {
-		e := edits[k]
-		if e == nil {
-			e = &rowEdit{}
-			edits[k] = e
-		}
-		return e
-	}
 	for _, id := range walkIDs {
-		w := int(id / int64(R))
-		i := int(id % int64(R))
-		replay(ix.g, w, i, func(v int32, _ uint16) {
-			e := edit(int64(v)*int64(R) + int64(i))
-			if e.remove == nil {
-				e.remove = make(map[int32]struct{})
-			}
-			e.remove[int32(w)] = struct{}{}
-		})
-		replay(ng, w, i, func(v int32, hop uint16) {
-			e := edit(int64(v)*int64(R) + int64(i))
-			e.ids = append(e.ids, int32(w))
-			e.hops = append(e.hops, hop)
-		})
+		w, i := int(id/int64(R)), int(id%int64(R))
+		replay(og, w, i, true)
+		replay(ng, w, i, false)
 	}
 	for w := oldN; w < newN; w++ {
 		for i := 0; i < R; i++ {
-			replay(ng, w, i, func(v int32, hop uint16) {
-				e := edit(int64(v)*int64(R) + int64(i))
-				e.ids = append(e.ids, int32(w))
-				e.hops = append(e.hops, hop)
-			})
+			replay(ng, w, i, false)
 		}
 	}
+	// Walks were replayed in ascending source order, so within each row
+	// both the removals and the insertions are already sorted by source;
+	// the stable sort by row keeps them so.
+	edits = sortEditsByRow(edits, int64(newN)*int64(R))
 
-	// Apply the edits row by row: rebuild each edited row sorted by source,
-	// writing in place when it fits its old span and relocating it to the
-	// tail when it grew. Row order is for determinism of the physical layout
-	// only; rows are independent.
-	rowKeys := make([]int64, 0, len(edits))
-	for k := range edits {
-		rowKeys = append(rowKeys, k)
-	}
-	sort.Slice(rowKeys, func(i, j int) bool { return rowKeys[i] < rowKeys[j] })
-	for _, k := range rowKeys {
-		e := edits[k]
-		lo, hi := ix.offsets[k], ix.ends[k]
-		oldLen := hi - lo
-		merged := entrySorter{
-			ids:  make([]int32, 0, int(oldLen)+len(e.ids)),
-			hops: make([]uint16, 0, int(oldLen)+len(e.ids)),
-		}
-		for p := lo; p < hi; p++ {
-			if _, rm := e.remove[ix.ids[p]]; rm {
-				continue
+	oldRows := int64(oldN) * int64(R)
+	for a, e := range edits {
+		if a == 0 || e.row != edits[a-1].row {
+			if e.row < oldRows {
+				lo, hi := ix.span(e.row)
+				grow += hi - lo
 			}
-			merged.ids = append(merged.ids, ix.ids[p])
-			merged.hops = append(merged.hops, ix.hops[p])
 		}
-		merged.ids = append(merged.ids, e.ids...)
-		merged.hops = append(merged.hops, e.hops...)
-		sort.Sort(&merged)
-		if n := int64(len(merged.ids)); n <= oldLen {
-			copy(ix.ids[lo:], merged.ids)
-			copy(ix.hops[lo:], merged.hops)
-			ix.ends[k] = lo + n
-			ix.dead += oldLen - n
+		if e.remove {
+			grow--
 		} else {
-			start := int64(len(ix.ids))
-			ix.ids = append(ix.ids, merged.ids...)
-			ix.hops = append(ix.hops, merged.hops...)
-			ix.offsets[k] = start
-			ix.ends[k] = start + n
-			ix.dead += oldLen
+			grow++
 		}
 	}
-
-	ix.g = ng
-	ix.gepoch = ng.Epoch()
-	ix.resetEmptyMemos()
-	if float64(ix.dead) > compactThreshold*float64(len(ix.ids)) {
-		ix.Compact()
-	}
-	return nil
+	return edits, grow
 }
 
-// compactArrays builds fresh compact CSR arrays from a patched index's live
-// spans, in row order, without touching the receiver.
-func (ix *Index) compactArrays() ([]int64, []int32, []uint16) {
-	rows := int64(len(ix.ends))
-	total := int64(len(ix.ids)) - ix.dead
+// tailSlack sizes the spare capacity a copying successor reserves past the
+// rows it writes — 1/tailSlack of its live entries, and at least two more
+// deltas of the same size — so the successors after it can append in place
+// until that runs out. Dead storage is dropped at each copy, so it stays
+// within that spare capacity unless single deltas rewrite much of the
+// index, which the compaction threshold catches.
+const tailSlack = 4
+
+// successor returns flat ix's heap-resident successor shell for ng, in the
+// patched layout with fresh row tables grown to ng's node count (new rows
+// empty at the tail) and entry storage holding ix's rows unchanged, with
+// room to append grow entries.
+func (ix *Index) successor(ng *graph.Graph, grow int64) *Index {
+	s := &Index{g: ng, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ng.Epoch()}
+	offsets, ends := ix.offsets, ix.ends
+	if ix.stf == nil && int64(cap(ix.ids)-len(ix.ids)) >= grow && int64(cap(ix.hops)-len(ix.hops)) >= grow &&
+		ix.tailClaimed.CompareAndSwap(false, true) {
+		// Share the storage: appends land past len(ix.ids), which ix never
+		// reads, and the claim keeps any other successor out of that space.
+		s.ids, s.hops, s.dead = ix.ids, ix.hops, ix.dead
+	} else {
+		// Mapped pages cannot be appended to, a claimed tail belongs to
+		// another successor, and a short one would reallocate anyway: start
+		// from a compact copy, which also drops the dead storage.
+		offsets, s.ids, s.hops = ix.compactArrays(grow + max(ix.Entries()/tailSlack, 2*grow))
+		ends = nil
+	}
+	oldRows := int64(ix.g.N()) * int64(ix.r)
+	newRows := int64(ng.N()) * int64(ix.r)
+	tail := int64(len(s.ids))
+	s.offsets = make([]int64, newRows+1)
+	copy(s.offsets, offsets[:oldRows])
+	s.ends = make([]int64, newRows)
+	if ends == nil {
+		copy(s.ends, offsets[1:oldRows+1])
+	} else {
+		copy(s.ends, ends[:oldRows])
+	}
+	for k := oldRows; k < newRows; k++ {
+		s.offsets[k], s.ends[k] = tail, tail
+	}
+	s.offsets[newRows] = tail
+	return s
+}
+
+// merge rewrites each edited row of the successor s at the storage tail:
+// the row's old entries minus the removed sources, interleaved by source
+// with the insertions, in one linear pass. Rows are sorted by source (Build
+// emits them so for every worker count), which is what makes a compacted
+// repair bit-identical to a full rebuild. Until a row is rewritten, s reads
+// it exactly as its predecessor did.
+func (s *Index) merge(edits []rowEdit) {
+	removed := make([]uint32, s.g.N())
+	var generation uint32
+	for a := 0; a < len(edits); {
+		k := edits[a].row
+		b := a
+		generation++
+		for ; b < len(edits) && edits[b].row == k; b++ {
+			if edits[b].remove {
+				removed[edits[b].src] = generation
+			}
+		}
+		ins := edits[a:b]
+		lo, hi := s.offsets[k], s.ends[k]
+		start := int64(len(s.ids))
+		for p := lo; p < hi; p++ {
+			id := s.ids[p]
+			if removed[id] == generation {
+				continue
+			}
+			for len(ins) > 0 && (ins[0].remove || ins[0].src < id) {
+				if !ins[0].remove {
+					s.ids, s.hops = append(s.ids, ins[0].src), append(s.hops, ins[0].hop)
+				}
+				ins = ins[1:]
+			}
+			s.ids, s.hops = append(s.ids, id), append(s.hops, s.hops[p])
+		}
+		for _, e := range ins {
+			if !e.remove {
+				s.ids, s.hops = append(s.ids, e.src), append(s.hops, e.hop)
+			}
+		}
+		s.dead += hi - lo
+		s.offsets[k], s.ends[k] = start, int64(len(s.ids))
+		a = b
+	}
+}
+
+// sortEditsByRow sorts edits by row with a stable LSD radix sort over the
+// bits rows < rows can have, preserving the order of edits within a row.
+func sortEditsByRow(edits []rowEdit, rows int64) []rowEdit {
+	const digit = 8
+	tmp := make([]rowEdit, len(edits))
+	var count [1 << digit]int
+	for shift := 0; shift < bits.Len64(uint64(rows)); shift += digit {
+		count = [1 << digit]int{}
+		for _, e := range edits {
+			count[(e.row>>shift)&(1<<digit-1)]++
+		}
+		pos := 0
+		for d, c := range count {
+			count[d] = pos
+			pos += c
+		}
+		for _, e := range edits {
+			d := (e.row >> shift) & (1<<digit - 1)
+			tmp[count[d]] = e
+			count[d]++
+		}
+		edits, tmp = tmp, edits
+	}
+	return edits
+}
+
+// compactArrays builds fresh compact CSR arrays from the index's live
+// spans, in row order, with room to append spare more entries, without
+// touching the receiver. It serves both layouts; on a compact index it is a
+// plain copy. Rows a repair left in place are still adjacent and in order,
+// so each run of them moves as one block.
+func (ix *Index) compactArrays(spare int64) ([]int64, []int32, []uint16) {
+	rows := int64(len(ix.offsets)) - 1
+	total := ix.Entries()
 	offsets := make([]int64, rows+1)
-	ids := make([]int32, total)
-	hops := make([]uint16, total)
+	ids := make([]int32, total, total+spare)
+	hops := make([]uint16, total, total+spare)
 	pos := int64(0)
-	for k := int64(0); k < rows; k++ {
+	for k := int64(0); k < rows; {
+		lo, hi := ix.span(k)
+		shift := pos - lo
 		offsets[k] = pos
-		lo, hi := ix.offsets[k], ix.ends[k]
-		pos += int64(copy(ids[pos:], ix.ids[lo:hi]))
-		copy(hops[offsets[k]:], ix.hops[lo:hi])
+		for k++; k < rows; k++ {
+			klo, khi := ix.span(k)
+			if klo != hi {
+				break
+			}
+			offsets[k] = klo + shift
+			hi = khi
+		}
+		copy(ids[pos:], ix.ids[lo:hi])
+		copy(hops[pos:], ix.hops[lo:hi])
+		pos += hi - lo
 	}
 	offsets[rows] = pos
 	return offsets, ids, hops
@@ -293,7 +381,7 @@ func (ix *Index) compactArrays() ([]int64, []int32, []uint16) {
 
 // Compact restores the canonical compact layout after Repairs have left the
 // index patched: rows become adjacent and in row order again, dead storage
-// is released, and — because Repair keeps rows sorted by source — the
+// is released, and — because repaired rows stay sorted by source — the
 // resulting arrays are bit-identical to a fresh build against the current
 // graph. It is a no-op on a compact index. Like Repair it mutates the index
 // and must not run concurrently with readers.
@@ -307,7 +395,7 @@ func (ix *Index) Compact() {
 	if ix.ends == nil {
 		return
 	}
-	ix.offsets, ix.ids, ix.hops = ix.compactArrays()
+	ix.offsets, ix.ids, ix.hops = ix.compactArrays(0)
 	ix.ends = nil
 	ix.dead = 0
 }
@@ -340,6 +428,6 @@ func (ix *Index) compacted() *Index {
 		return ix
 	}
 	c := &Index{g: ix.g, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ix.gepoch, fromWalks: ix.fromWalks}
-	c.offsets, c.ids, c.hops = ix.compactArrays()
+	c.offsets, c.ids, c.hops = ix.compactArrays(0)
 	return c
 }

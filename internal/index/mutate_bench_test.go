@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // BenchmarkIncrementalRepair measures Repair proper (the graph-side
@@ -92,6 +94,44 @@ func BenchmarkIncrementalRepair(b *testing.B) {
 	for _, n := range []int{5000, 20000, 80000} {
 		b.Run(fmt.Sprintf("graph/k=8/n=%d", n), func(b *testing.B) { repairLoop(b, n, 8) })
 	}
+	// The serving benchmark's churn shape: each delta adds one node with
+	// edges to 2 distinct random existing nodes, on the CAGrQc stand-in at
+	// L=6, R=200.
+	b.Run("churn/CAGrQc/L=6/R=200", func(b *testing.B) {
+		g, err := dataset.Load("CAGrQc", 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix, err := BuildWorkers(g, 6, 200, seed, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rng.New(7)
+		n0 := g.N()
+		grow := func() (*graph.Graph, []int) {
+			u := r.Intn(n0)
+			v := r.Intn(n0 - 1)
+			if v >= u {
+				v++
+			}
+			n := g.N()
+			ng, touched, err := g.ApplyDelta(graph.Delta{AddNodes: 1, AddEdges: []graph.Edge{{U: n, V: u}, {U: n, V: v}}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return ng, touched
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ng, touched := grow()
+			b.StartTimer()
+			if err := ix.Repair(ng, touched); err != nil {
+				b.Fatal(err)
+			}
+			g = ng
+		}
+	})
 	// The alternative a repair displaces: a from-scratch rebuild at each
 	// graph size (delta-independent).
 	for _, n := range []int{5000, 20000, 80000} {

@@ -1,9 +1,11 @@
 package index
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -358,4 +360,266 @@ func FuzzApplyDelta(f *testing.F) {
 			assertRebuildParity(t, ix, 1)
 		}
 	})
+}
+
+// rowSnapshot copies every row of ix, for comparing an instance against
+// itself across a repair.
+func rowSnapshot(ix *Index) [][2][]int {
+	var rows [][2][]int
+	for v := 0; v < ix.Graph().N(); v++ {
+		for i := 0; i < ix.R(); i++ {
+			ids, hops := ix.Row(i, v)
+			var r [2][]int
+			for e := range ids {
+				r[0] = append(r[0], int(ids[e]))
+				r[1] = append(r[1], int(hops[e]))
+			}
+			rows = append(rows, r)
+		}
+	}
+	return rows
+}
+
+// assertUnchanged asserts ix still answers every row and both empty-set
+// gain vectors exactly as recorded before a repair.
+func assertUnchanged(t *testing.T, ix *Index, rows [][2][]int, empty [2][]float64) {
+	t.Helper()
+	if !reflect.DeepEqual(rowSnapshot(ix), rows) {
+		t.Fatal("repair changed a row of its predecessor")
+	}
+	for pi, p := range []Problem{Problem1, Problem2} {
+		got, err := ix.EmptySetGains(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, empty[pi]) {
+			t.Fatalf("%v: repair changed the predecessor's EmptySetGains", p)
+		}
+	}
+}
+
+// emptyGains returns both problems' empty-set gain vectors of ix.
+func emptyGains(t *testing.T, ix *Index) [2][]float64 {
+	t.Helper()
+	var out [2][]float64
+	for pi, p := range []Problem{Problem1, Problem2} {
+		v, err := ix.EmptySetGains(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[pi] = slices.Clone(v)
+	}
+	return out
+}
+
+// TestRepairedLeavesPredecessorIntact: a chain of copy-on-write repairs —
+// each successor appending into the storage its predecessor shares — never
+// changes a row or an empty-set gain of any earlier instance, and every
+// successor has rebuild parity.
+func TestRepairedLeavesPredecessorIntact(t *testing.T) {
+	g, err := graph.BarabasiAlbert(150, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := BuildWorkers(g, 6, 6, 9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := []graph.Delta{
+		{AddEdges: []graph.Edge{{U: 3, V: 90}, {U: 0, V: 111}}},
+		{AddNodes: 1, AddEdges: []graph.Edge{{U: 150, V: 4}, {U: 150, V: 77}}},
+		{RemoveEdges: []graph.Edge{{U: 3, V: 90}}},
+	}
+	type seen struct {
+		ix    *Index
+		rows  [][2][]int
+		empty [2][]float64
+	}
+	var chain []seen
+	for _, d := range deltas {
+		chain = append(chain, seen{ix, rowSnapshot(ix), emptyGains(t, ix)})
+		ng, touched, err := g.ApplyDelta(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix, err = ix.Repaired(ng, touched); err != nil {
+			t.Fatal(err)
+		}
+		g = ng
+		assertRebuildParity(t, ix, 1)
+		for _, c := range chain {
+			assertUnchanged(t, c.ix, c.rows, c.empty)
+		}
+	}
+}
+
+// withSpareCapacity regrows ix's entry storage with room for a successor
+// to append into, as a repaired index has once its storage has grown.
+func withSpareCapacity(ix *Index) {
+	ix.ids = slices.Grow(ix.ids, len(ix.ids))
+	ix.hops = slices.Grow(ix.hops, len(ix.hops))
+}
+
+// TestRepairedTwoSuccessors: two successors of one instance, from two
+// different deltas, each compact to their own rebuild — only one may
+// append into the shared spare capacity, so the second must not clobber
+// the first — and each keeps repairing independently.
+func TestRepairedTwoSuccessors(t *testing.T) {
+	g, err := graph.BarabasiAlbert(150, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Build(g, 6, 6, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withSpareCapacity(base)
+	ga, ta, err := g.ApplyDelta(graph.Delta{AddEdges: []graph.Edge{{U: 3, V: 90}, {U: 0, V: 111}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, tb, err := g.ApplyDelta(graph.Delta{AddNodes: 2, AddEdges: []graph.Edge{{U: 150, V: 151}, {U: 7, V: 150}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := base.Repaired(ga, ta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := base.Repaired(gb, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !base.tailClaimed.Load() || &a.ids[0] != &base.ids[0] {
+		t.Fatal("test premise: the first successor appends into the shared tail")
+	}
+	assertRebuildParity(t, a, 1)
+	assertRebuildParity(t, b, 1)
+	ga2, ta2, err := ga.ApplyDelta(graph.Delta{RemoveEdges: []graph.Edge{{U: 0, V: 111}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb2, tb2, err := gb.ApplyDelta(graph.Delta{RemoveEdges: []graph.Edge{{U: 7, V: 150}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := a.Repaired(ga2, ta2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := b.Repaired(gb2, tb2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []*Index{a, b, a2, b2} {
+		assertRebuildParity(t, ix, 1)
+	}
+}
+
+// TestRepairedUnderReaders runs readers over an instance while successors
+// are derived from it and from each other; under -race it proves the
+// repair never writes memory a reader of the predecessor can see.
+func TestRepairedUnderReaders(t *testing.T) {
+	g, err := graph.BarabasiAlbert(200, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(g, 6, 6, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withSpareCapacity(ix)
+	for step := 0; step < 4; step++ {
+		want := rowSnapshot(ix)
+		empty := emptyGains(t, ix)
+		ng, touched, err := g.ApplyDelta(graph.Delta{AddNodes: 1, AddEdges: []graph.Edge{{U: g.N(), V: step}, {U: g.N(), V: 50 + step}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d, err := ix.NewDTable(Problem1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for {
+					if !reflect.DeepEqual(rowSnapshot(ix), want) {
+						t.Error("reader saw a row change during a repair")
+						return
+					}
+					d.GainBatch([]int{0, 1, 2, 3}, nil)
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		next, err := ix.Repaired(ng, touched)
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertUnchanged(t, ix, want, empty)
+		assertRebuildParity(t, next, 1)
+		ix, g = next, ng
+	}
+}
+
+// TestRepairedMappedStore: repairing a store-backed index, flat or
+// chunked, gives a heap successor that answers exactly like a repaired heap
+// twin (and, flat, has rebuild parity), while the store-backed original
+// keeps serving its epoch unchanged off its pages.
+func TestRepairedMappedStore(t *testing.T) {
+	g, err := graph.BarabasiAlbert(150, 3, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := Build(g, 5, 6, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked, err := BuildChunkedWorkers(g, 5, 12, 33, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ng, touched, err := g.ApplyDelta(graph.Delta{AddNodes: 1, AddEdges: []graph.Edge{{U: 150, V: 0}, {U: 150, V: 9}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, heap := range []*Index{flat, chunked} {
+		want, err := heap.Repaired(ng, touched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range storeVariants() {
+			t.Run(fmt.Sprintf("chunks=%d/%s", heap.Chunks(), v.name), func(t *testing.T) {
+				got := storeLoad(t, heap, v)
+				s, err := got.Repaired(ng, touched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.StoreBacked() || !got.StoreBacked() {
+					t.Fatal("promotion must land in the successor only")
+				}
+				if s.MemoryBytes() == 0 {
+					t.Fatal("promoted successor reports zero heap bytes")
+				}
+				if !s.Chunked() {
+					assertRebuildParity(t, s, 1)
+				}
+				for _, p := range []Problem{Problem1, Problem2} {
+					assertReadParity(t, want, s, p)
+					assertReadParity(t, heap, got, p)
+				}
+			})
+		}
+	}
 }

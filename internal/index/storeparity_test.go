@@ -198,10 +198,10 @@ func TestStoreParityAfterGrowth(t *testing.T) {
 }
 
 // TestStoreParityAfterRepair covers the store→heap promotion contract: a
-// store-backed index serves off read-only pages, so Repair must first
-// Promote (copy every store-backed chunk onto the heap) and then patch —
-// after which the index is no longer store-backed and answers bit-identically
-// to a heap index repaired through the same delta.
+// store-backed index serves off read-only pages, so an in-place Repair
+// promotes (copies every store-backed chunk onto the heap) and then patches
+// — after which the index is no longer store-backed and answers
+// bit-identically to a heap index repaired through the same delta.
 func TestStoreParityAfterRepair(t *testing.T) {
 	g, err := graph.BarabasiAlbert(150, 3, 17)
 	if err != nil {

@@ -90,8 +90,8 @@ func (s *Spans) decode(u int) *decoded {
 }
 
 // Materialize decodes the whole chunk into fresh compact CSR arrays — the
-// store→heap promotion path mutation forces (Repair needs writable arrays),
-// and the bridge for re-serializing a store-backed index.
+// store→heap promotion path a repair takes (the repaired successor is
+// heap-resident), and the bridge for re-serializing a store-backed index.
 func (s *Spans) Materialize() (offsets []int64, ids []int32, hops []uint16, err error) {
 	rows := int64(s.n) * int64(s.width)
 	offsets = make([]int64, rows+1)
