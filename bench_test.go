@@ -358,8 +358,8 @@ func BenchmarkIndexBuild(b *testing.B) {
 // walks as BenchmarkIndexBuild (CI's bench gate maps the two onto each
 // other), assembled as ordered replicate chunks with per-chunk CSR columns.
 // The chunked layout is what the adaptive accuracy budgets build
-// incrementally; this benchmark pins its full-R build cost against the flat
-// build so the chunk seams stay free when accuracy is off.
+// incrementally; this benchmark pins its full-R build cost against the
+// one-chunk build so the chunk seams stay free when accuracy is off.
 func BenchmarkChunkedBuild(b *testing.B) {
 	g, err := GeneratePowerLaw(5000, 30000, 5)
 	if err != nil {

@@ -256,7 +256,7 @@ func loadOrBuildIndex(g *rwdom.Graph, opts rwdom.Options, path string) (*rwdom.I
 	if err != nil {
 		return nil, err
 	}
-	if err := built.SaveFile(path); err != nil {
+	if err := built.SaveStore(path, true); err != nil {
 		return nil, err
 	}
 	fmt.Printf("built and saved index to %s (%d entries)\n", path, built.Entries())

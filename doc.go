@@ -188,19 +188,20 @@
 // Spilled indexes are written in format v8, a page-aligned container
 // (internal/store) with a per-chunk directory, CRC32-C on every section,
 // and optionally delta/varint-compressed walk spans (the default; roughly
-// 2-3x smaller files). Loads sniff the magic, so v7 and older spill
-// directories keep warm-loading after an upgrade. WithMmapSpills serves
+// 2-3x smaller files). v8 is the one on-disk format: a spill file in a
+// retired format (v7 or older) fails to load and costs one counted
+// rebuild, after which it is re-spilled as v8. WithMmapSpills serves
 // warm loads straight off a read-only memory mapping: a restart maps and
 // CRC-verifies the file instead of deserializing it (O(1)-ish page-in
-// restart, ~13x faster in BenchmarkWarmRestart), rows page in as queries
+// restart, ~13x faster than the retired v7 deserialize), rows page in as queries
 // touch them, and mapped indexes cost nothing against the index-bytes
 // budget — the working set may exceed RAM. Compressed spans decode on
 // read through a small hot-row cache; store-backed answers are
 // bit-identical to heap answers (a parity suite enforces it across
-// formats, problems, layouts, growth and repair — a repaired successor is
+// encodings, problems, chunkings, growth and repair — a repaired successor is
 // promoted onto the heap, since the mapping is read-only, while the mapped
 // original keeps serving its readers).
-// WithSpillFormat selects the writer ("v8", "v8raw", "v7"); corruption
+// WithSpillFormat selects the writer ("v8" or "v8raw"); corruption
 // anywhere in a spill file fails the open and triggers a counted rebuild,
 // never a wrong answer. Engine.Stats.Storage (and the daemon's /stats
 // "storage" block) reports the effective format plus mapped-index,

@@ -39,7 +39,7 @@ func TestIndexSaveLoadFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "idx.bin")
-	if err := ix.SaveFile(path); err != nil {
+	if err := ix.SaveStore(path, true); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadIndexFile(path, g)

@@ -196,9 +196,7 @@ func ApproxAdaptiveStream(ctx context.Context, g *graph.Graph, p index.Problem, 
 				return nil, err
 			}
 			buildTime += time.Since(bt)
-			if err := d.SyncChunks(); err != nil {
-				return nil, err
-			}
+			d.SyncChunks()
 			chunksBuilt++
 		}
 		if !committed {

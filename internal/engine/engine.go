@@ -74,11 +74,10 @@ type Config struct {
 	// so later misses and restarts skip the build.
 	SpillDir string
 	// SpillFormat selects what spill saves write: "v8" (compressed store
-	// container, the default), "v8raw" (raw page-aligned sections), or "v7"
-	// (legacy full-deserialize format). Loads sniff the file magic and accept
-	// every format regardless of this setting.
+	// container, the default) or "v8raw" (raw page-aligned sections). Loads
+	// read either regardless of this setting; any other value fails New.
 	SpillFormat string
-	// MmapSpills serves v8 spill loads store-backed through a read-only
+	// MmapSpills serves spill loads store-backed through a read-only
 	// memory mapping: a warm restart pages rows in on demand instead of
 	// deserializing, and mapped indexes cost ~nothing against IndexBytes
 	// (their pages are reclaimable page cache, not heap).

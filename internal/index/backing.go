@@ -2,30 +2,43 @@ package index
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 
 	"repro/internal/graph"
 	"repro/internal/store"
 )
 
-// Store-backed indexes. An Index is either heap-resident (every build path:
-// offsets/ids/hops are owned heap arrays) or store-backed: loaded from a
-// format-v8 store file (internal/store) whose pages serve the entries
-// directly. Raw chunks alias their CSR arrays straight out of the file's
-// mapping — the hot paths are untouched and read mapped pages through the
-// exact same slices — while compressed chunks leave offsets/ids/hops nil and
-// serve node spans through a decode-on-read view (sb) with a hot-row cache.
-//
-// Both backings answer every query bit-identically: the store-backed gain
-// kernels below run the same integer arithmetic over the same logical rows
-// (entry order inside a row may differ after the writer's canonical sort,
-// which no consumer observes — all accumulation is integer and
-// order-independent). The storeparity test sweep pins this.
+// Store-backed indexes and the one on-disk format. An index is saved as a
+// format-v8 store file (internal/store): page-aligned sections that load by
+// mmap (or one aligned read) instead of a full deserialize, optionally with
+// delta/varint-compressed spans. LoadAny binds such a file as a serving
+// Index whose chunks read the file's pages directly: raw chunks alias their
+// CSR arrays straight out of the mapping, and compressed chunks decode node
+// spans on read through a hot-row cache (store.Spans). The chunk's rows
+// accessor hides the difference, so every kernel runs the same integer
+// arithmetic over the same logical rows and store-backed answers are
+// bit-identical to heap answers (entry order inside a row may differ after
+// the writer's canonical sort, which no consumer observes). The storeparity
+// test sweep pins this.
 //
 // Mutation is the one operation mapped pages cannot serve (the mapping is
 // PROT_READ): a repair promotes into its successor (Repaired), leaving the
-// mapped original to its readers; Promote converts an index in place.
+// mapped original to its readers.
 
-// StoreOptions configures how LoadStore binds a store file.
+// Spill format names, as configured through engine.Config.SpillFormat and
+// the rwdomd -spill-format flag. Both are format v8.
+const (
+	// FormatV8 is the store container with delta/varint-compressed spans:
+	// smallest files, decode-on-read serving with a hot-row cache.
+	FormatV8 = "v8"
+	// FormatV8Raw is the store container with raw page-aligned sections:
+	// zero decode work (reads alias the pages directly) at raw size.
+	FormatV8Raw = "v8raw"
+)
+
+// StoreOptions configures how LoadAny binds a store file.
 type StoreOptions struct {
 	// Mmap serves the file through a read-only mapping (O(1)-page-in warm
 	// restart, larger-than-RAM serving); otherwise the file is read into an
@@ -81,11 +94,13 @@ func (ix *Index) storeComplete() bool {
 	return ix.stf != nil && ix.stf.Identity().R == ix.r && ix.stf.Identity().Epoch == ix.gepoch
 }
 
-// LoadStore opens a v8 store file and binds it to g as a serving Index,
-// verifying the full build identity exactly as the v7 reader does
-// (fingerprint, epoch, node count). A single-chunk file loads as a flat
-// index, a multi-chunk file as a chunked index with its written boundaries.
-func LoadStore(path string, g *graph.Graph, opt StoreOptions) (*Index, error) {
+// LoadAny opens a v8 store file and binds it to g as a serving Index,
+// verifying the full build identity (fingerprint, epoch, node count) and,
+// inside store.Open, every CRC and structural bound. The index keeps the
+// chunk boundaries the file was written with. Any other file — including
+// the retired v7 format — is rejected; the cache turns that into one
+// counted rebuild.
+func LoadAny(path string, g *graph.Graph, opt StoreOptions) (*Index, error) {
 	f, err := store.Open(path, store.OpenOptions{Mmap: opt.Mmap, HotRows: opt.HotRows})
 	if err != nil {
 		return nil, err
@@ -95,201 +110,100 @@ func LoadStore(path string, g *graph.Graph, opt StoreOptions) (*Index, error) {
 		return nil, fmt.Errorf("index: graph fingerprint mismatch: index built on %016x, loading against %016x", id.Fingerprint, got)
 	}
 	if got := g.Epoch(); got != id.Epoch {
+		// The fingerprint above cannot catch a delta plus its inverse (the
+		// structure round-trips); the monotone epoch can.
 		return nil, fmt.Errorf("index: graph epoch mismatch: index built at epoch %d, loading against epoch %d", id.Epoch, got)
 	}
 	if id.N != g.N() {
 		return nil, fmt.Errorf("index: node count mismatch: %d vs %d", id.N, g.N())
 	}
-	parts := make([]*Index, 0, f.Chunks())
-	for c := 0; c < f.Chunks(); c++ {
-		cv := f.Chunk(c)
-		pt := &Index{
-			g: g, l: id.L, r: cv.Width(), rbase: cv.R0(),
-			seed: id.Seed, gepoch: id.Epoch, stf: f,
-		}
+	ix := &Index{g: g, l: id.L, r: id.R, rbase: id.R0, seed: id.Seed, gepoch: id.Epoch,
+		stf: f, chunks: make([]*chunk, f.Chunks())}
+	for i := range ix.chunks {
+		cv := f.Chunk(i)
+		c := &chunk{r0: cv.R0(), r: cv.Width(), stored: true}
 		if cv.Compressed() {
-			pt.sb = cv.Spans()
-			pt.sbEntries = cv.Entries()
+			c.sb, c.sbEntries = cv.Spans(), cv.Entries()
 		} else {
-			pt.offsets, pt.ids, pt.hops = cv.Raw()
+			c.offsets, c.ids, c.hops = cv.Raw()
 		}
-		parts = append(parts, pt)
+		ix.chunks[i] = c
 	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	return &Index{
-		g: g, l: id.L, r: id.R, rbase: id.R0,
-		seed: id.Seed, gepoch: id.Epoch, parts: parts, stf: f,
-	}, nil
+	return ix, nil
 }
 
-// Promote materializes a store-backed index onto the heap in place. Raw
-// chunks copy their aliased arrays; compressed chunks decode in full.
-// Afterwards the index owns every array, drops its reference to the store
-// file (unmapping follows when the last reference goes), and behaves
-// exactly like a fresh heap build. No-op on heap-resident indexes. Like
-// every in-place mutation, Promote must not run concurrently with readers;
-// a repair promotes into its successor instead (Repaired).
-func (ix *Index) Promote() error {
-	if ix.parts != nil {
-		for _, pt := range ix.parts {
-			if err := pt.Promote(); err != nil {
-				return err
-			}
-		}
-		ix.stf = nil
-		return nil
-	}
-	if ix.stf == nil {
-		return nil
-	}
-	if ix.sb != nil {
-		offsets, ids, hops, err := ix.sb.Materialize()
+// compacted returns the chunk in canonical compact form with heap-readable
+// arrays, without modifying it: the chunk itself when already compact and
+// array-backed, otherwise a copy — patched rows compacted, compressed spans
+// decoded in full. A decode failure is returned, never papered over: the
+// writer must not seal an empty chunk with valid CRCs.
+func (c *chunk) compacted() (*chunk, error) {
+	switch {
+	case c.sb != nil:
+		offsets, ids, hops, err := c.sb.Materialize()
 		if err != nil {
-			return fmt.Errorf("index: promote store-backed chunk: %w", err)
+			return nil, fmt.Errorf("index: decode chunk [%d, %d): %w", c.r0, c.r0+c.r, err)
 		}
-		ix.offsets, ix.ids, ix.hops = offsets, ids, hops
-		ix.sb = nil
-		ix.sbEntries = 0
-	} else {
-		ix.offsets = append([]int64(nil), ix.offsets...)
-		ix.ids = append([]int32(nil), ix.ids...)
-		ix.hops = append([]uint16(nil), ix.hops...)
+		return &chunk{r0: c.r0, r: c.r, offsets: offsets, ids: ids, hops: hops}, nil
+	case c.ends != nil:
+		offsets, ids, hops := c.compactArrays(0)
+		return &chunk{r0: c.r0, r: c.r, offsets: offsets, ids: ids, hops: hops}, nil
 	}
-	ix.stf = nil
+	return c, nil
+}
+
+// WriteStore serializes the index in format v8 (compress selects
+// delta/varint spans vs raw sections). It never mutates the receiver, so it
+// is safe alongside readers, and always writes the canonical compact form,
+// never the patched post-Repair layout.
+func (ix *Index) WriteStore(w io.Writer, compress bool) (int64, error) {
+	chunks := make([]store.Chunk, len(ix.chunks))
+	for i, c := range ix.chunks {
+		cc, err := c.compacted()
+		if err != nil {
+			return 0, err
+		}
+		chunks[i] = store.Chunk{R0: cc.r0, Width: cc.r, Offsets: cc.offsets, Ids: cc.ids, Hops: cc.hops}
+	}
+	id := store.Identity{
+		Fingerprint: ix.g.Fingerprint(),
+		Epoch:       ix.gepoch,
+		N:           ix.g.N(),
+		L:           ix.l,
+		R:           ix.r,
+		R0:          ix.rbase,
+		Seed:        ix.seed,
+	}
+	return store.Write(w, id, chunks, store.WriteOptions{Compress: compress})
+}
+
+// SaveStore writes the index to path in format v8 via a temp file + fsync +
+// rename, so concurrent loads never observe a partially written index, two
+// writers of the same path cannot interleave, and a crash between the write
+// and the rename can never publish a torn file under the final name — the
+// same durability contract graph saves follow. (A torn file would still
+// only cost a counted rebuild thanks to the CRCs, but the fsync keeps the
+// failure mode "old file or new file", never "garbage file".) On error no
+// file is published.
+func (ix *Index) SaveStore(path string, compress bool) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("index: %w", err)
+	}
+	tmp := f.Name()
+	_, err = ix.WriteStore(f, compress)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("index: save %s: %w", path, err)
+	}
 	return nil
-}
-
-// storeRow returns row (i, v) of a decode-on-read chunk.
-func (ix *Index) storeRow(i, v int) (ids []int32, hops []uint16) {
-	offs, bids, bhops := ix.sb.NodeSpan(v)
-	return bids[offs[i]:offs[i+1]], bhops[offs[i]:offs[i+1]]
-}
-
-// maxRowLenStore is MaxRowLen over a decode-on-read chunk.
-func (ix *Index) maxRowLenStore(u int) int {
-	offs, _, _ := ix.sb.NodeSpan(u)
-	best := int64(0)
-	for i := 0; i < ix.r; i++ {
-		if n := offs[i+1] - offs[i]; n > best {
-			best = n
-		}
-	}
-	return int(best)
-}
-
-// emptySumIntStore is emptySumInt over a decode-on-read chunk: identical
-// integer accumulation over the same logical entries, hence bit-identical.
-func (ix *Index) emptySumIntStore(p Problem, u int) int64 {
-	r := int64(ix.r)
-	l := int64(ix.l)
-	offs, _, hops := ix.sb.NodeSpan(u)
-	var acc int64
-	if p == Problem1 {
-		acc = r * l
-		for _, hop := range hops[offs[0]:offs[ix.r]] {
-			if int64(hop) < l {
-				acc += l - int64(hop)
-			}
-		}
-		return acc
-	}
-	return r + offs[ix.r] - offs[0]
-}
-
-// gainIntStore is gainInt over a decode-on-read chunk. The loop body is
-// line-for-line the heap kernel's with the span fetched once per candidate;
-// integer accumulation keeps the result independent of entry order, so the
-// writer's canonical row sort cannot change any answer.
-func (t *DTable) gainIntStore(u int) int64 {
-	r := t.ix.r
-	base := u * r
-	offs, bids, bhops := t.ix.sb.NodeSpan(u)
-	var acc int64
-	if t.problem == Problem1 {
-		for i := 0; i < r; i++ {
-			acc += int64(t.d[base+i])
-			ids := bids[offs[i]:offs[i+1]]
-			hops := bhops[offs[i]:offs[i+1]]
-			for e, v := range ids {
-				if dv := t.d[int(v)*r+i]; hops[e] < dv {
-					acc += int64(dv - hops[e])
-				}
-			}
-		}
-	} else {
-		for i := 0; i < r; i++ {
-			if t.d[base+i] == 0 {
-				acc++
-			}
-			for _, v := range bids[offs[i]:offs[i+1]] {
-				if t.d[int(v)*r+i] == 0 {
-					acc++
-				}
-			}
-		}
-	}
-	return acc
-}
-
-// updateStore is Update over a decode-on-read chunk.
-func (t *DTable) updateStore(u int) {
-	r := t.ix.r
-	base := u * r
-	offs, bids, bhops := t.ix.sb.NodeSpan(u)
-	if t.problem == Problem1 {
-		for i := 0; i < r; i++ {
-			t.d[base+i] = 0
-			ids := bids[offs[i]:offs[i+1]]
-			hops := bhops[offs[i]:offs[i+1]]
-			for e, v := range ids {
-				if j := int(v)*r + i; hops[e] < t.d[j] {
-					t.d[j] = hops[e]
-				}
-			}
-		}
-	} else {
-		for i := 0; i < r; i++ {
-			t.d[base+i] = 1
-			for _, v := range bids[offs[i]:offs[i+1]] {
-				t.d[int(v)*r+i] = 1
-			}
-		}
-	}
-}
-
-// appendReplicateGainSumsStore is AppendReplicateGainSums over a decode-on-
-// read chunk.
-func (t *DTable) appendReplicateGainSumsStore(u int, out []int64) []int64 {
-	r := t.ix.r
-	base := u * r
-	offs, bids, bhops := t.ix.sb.NodeSpan(u)
-	if t.problem == Problem1 {
-		for i := 0; i < r; i++ {
-			acc := int64(t.d[base+i])
-			ids := bids[offs[i]:offs[i+1]]
-			hops := bhops[offs[i]:offs[i+1]]
-			for e, v := range ids {
-				if dv := t.d[int(v)*r+i]; hops[e] < dv {
-					acc += int64(dv - hops[e])
-				}
-			}
-			out = append(out, acc)
-		}
-		return out
-	}
-	for i := 0; i < r; i++ {
-		var acc int64
-		if t.d[base+i] == 0 {
-			acc++
-		}
-		for _, v := range bids[offs[i]:offs[i+1]] {
-			if t.d[int(v)*r+i] == 0 {
-				acc++
-			}
-		}
-		out = append(out, acc)
-	}
-	return out
 }

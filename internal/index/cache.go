@@ -20,9 +20,8 @@ import (
 // query-serving daemon: many concurrent requests against the same
 // (graph, L, R, seed) tuple share one materialized index, concurrent misses
 // for the same key coalesce into a single build (singleflight), and evicted
-// indexes are optionally spilled to disk in the current serialization format
-// so a later miss — or a daemon restart — reloads them instead of re-walking
-// the graph.
+// indexes are optionally spilled to disk as v8 store files so a later miss
+// — or a daemon restart — reloads them instead of re-walking the graph.
 //
 // The refs/ready/LRU machinery itself lives in the generic internal/cache
 // core (shared with the serving layer's memo cache); this type adds the
@@ -56,17 +55,15 @@ type Cache struct {
 // The zero value is the production default: write compressed v8 store
 // files, load them fully onto the heap.
 type SpillConfig struct {
-	// Format is what spill saves write: FormatV8 (compressed store
-	// container, the default), FormatV8Raw (store container with raw
-	// page-aligned sections), or FormatV7 (legacy). Loads always sniff the
-	// file magic and accept every format, so changing the write format
-	// never invalidates an existing spill directory.
+	// Format is what spill saves write: FormatV8 (compressed spans, the
+	// default) or FormatV8Raw (raw page-aligned sections). Loads read either.
+	// A spill file in any other format (such as the retired v7) fails to
+	// load and costs one counted rebuild.
 	Format string
-	// Mmap serves v8 spill loads store-backed through a read-only mapping:
-	// a warm restart pages rows in on demand instead of deserializing, and
+	// Mmap serves spill loads store-backed through a read-only mapping: a
+	// warm restart pages rows in on demand instead of deserializing, and
 	// the loaded index costs ~nothing against the cache's bytes budget
-	// (its pages are reclaimable page cache, not heap). v7 files always
-	// fully deserialize.
+	// (its pages are reclaimable page cache, not heap).
 	Mmap bool
 	// HotRows sizes the decoded-block cache of each compressed chunk
 	// (see store.OpenOptions): 0 means store.DefaultHotRows, negative
@@ -84,10 +81,10 @@ func (sc SpillConfig) format() string {
 
 func (sc SpillConfig) validate() error {
 	switch sc.format() {
-	case FormatV7, FormatV8, FormatV8Raw:
+	case FormatV8, FormatV8Raw:
 		return nil
 	default:
-		return fmt.Errorf("index: unknown spill format %q (want %s, %s or %s)", sc.Format, FormatV8, FormatV8Raw, FormatV7)
+		return fmt.Errorf("index: unknown spill format %q (want %s or %s)", sc.Format, FormatV8, FormatV8Raw)
 	}
 }
 
@@ -293,7 +290,7 @@ func (c *Cache) Adopt(key CacheKey, ix *Index) error {
 // loadOrBuild tries the spill directory, then falls back to build. A spill
 // file is only trusted if every build parameter matches the key — L, R and
 // the build seed (serialized in the spill header) — on top of the graph
-// fingerprint LoadFile already verifies, so an FNV path collision or a
+// fingerprint LoadAny already verifies, so an FNV path collision or a
 // stale file can never warm-load an index built with different parameters
 // and silently change every answer.
 func (c *Cache) loadOrBuild(key CacheKey, g *graph.Graph, build func() (*Index, error)) (*Index, bool, error) {
@@ -346,50 +343,14 @@ func (c *Cache) spillPath(key CacheKey) string {
 	return filepath.Join(c.spillDir, fmt.Sprintf("idx-%016x.rwdomidx", h.Sum64()))
 }
 
-// saveAtomic writes ix to path in the configured format via a temp file +
-// fsync + rename, so concurrent spill-loads never observe a partially
-// written index, two spillers of the same key cannot interleave, and a
-// crash between the write and the rename can never publish a torn file
-// under the final name — the same durability contract graph saves follow.
-// (A torn file would still only cost a counted rebuild thanks to the CRCs,
-// but the fsync keeps the failure mode "old file or new file", never
-// "garbage file".)
-func saveAtomic(ix *Index, path string, cfg SpillConfig) error {
+// save spills ix to path in the configured format. SaveStore's temp file +
+// fsync + rename keeps concurrent spill-loads and duplicate spillers of the
+// same key safe.
+func (c *Cache) save(ix *Index, path string) error {
 	if err := faultinject.Do(faultinject.SiteSpillSave); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	tmp := f.Name()
-	switch cfg.format() {
-	case FormatV7:
-		_, err = ix.WriteTo(f)
-	case FormatV8Raw:
-		_, err = ix.WriteStore(f, false)
-	default: // FormatV8
-		_, err = ix.WriteStore(f, true)
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("index: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("index: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("index: %w", err)
-	}
-	return nil
+	return ix.SaveStore(path, c.spillCfg.format() == FormatV8)
 }
 
 // spill persists evicted entries to the spill directory, when configured.
@@ -404,7 +365,7 @@ func (c *Cache) spill(victims []cache.Entry[CacheKey, *Index]) {
 			skipped++
 			continue
 		}
-		if err := saveAtomic(v.Value, path, c.spillCfg); err == nil {
+		if err := c.save(v.Value, path); err == nil {
 			saved++
 		}
 	}
@@ -432,7 +393,7 @@ func (c *Cache) spillCurrent(ix *Index, path string) bool {
 // spillAsync runs spill in the background: serializing a large evicted
 // index must not sit on the latency of whichever request happened to tip
 // the cache over capacity, nor stall the background evictor's tick.
-// saveAtomic's temp+rename keeps concurrent readers and duplicate spillers
+// SaveStore's temp+rename keeps concurrent readers and duplicate spillers
 // of the same key safe.
 func (c *Cache) spillAsync(victims []cache.Entry[CacheKey, *Index]) {
 	if c.spillDir == "" || len(victims) == 0 {
@@ -525,7 +486,7 @@ func (c *Cache) SpillAll() error {
 			skipped++
 			continue
 		}
-		if err := saveAtomic(e.Value, path, c.spillCfg); err != nil {
+		if err := c.save(e.Value, path); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", e.Key, err))
 		} else {
 			saved++
@@ -566,8 +527,8 @@ func (c *Cache) Stats() CacheStats {
 // resident store-backed index. Snapshot via Cache.StorageStats; the serving
 // layer renders it as the /stats "storage" block.
 type StorageStats struct {
-	// SpillFormat is the effective write format (v8, v8raw, or v7); Mmap
-	// reports whether v8 spill loads serve store-backed off mapped pages.
+	// SpillFormat is the effective write format (v8 or v8raw); Mmap
+	// reports whether spill loads serve store-backed off mapped pages.
 	SpillFormat string
 	Mmap        bool
 	// MappedIndexes is the number of resident indexes serving through a

@@ -257,7 +257,7 @@ func TestCacheSpillRejectsDifferentSeed(t *testing.T) {
 	// to: same graph, L and R, so only the (newly serialized) seed header
 	// field can expose the mismatch.
 	key := CacheKey{Graph: "g", L: 4, R: 10, Seed: 1}
-	if err := wrongSeed.SaveFile(c.spillPath(key)); err != nil {
+	if err := wrongSeed.SaveStore(c.spillPath(key), true); err != nil {
 		t.Fatal(err)
 	}
 	var builds atomic.Int64

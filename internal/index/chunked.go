@@ -6,108 +6,90 @@ import (
 	"repro/internal/graph"
 )
 
-// Chunked replicate columns. A chunked index materializes its replicate
-// range as an ordered set of chunks, each a self-contained candidate-major
-// CSR over a consecutive sub-range built by BuildRangeWorkers from the same
-// master seed. Because every walk is seeded per (node, absolute replicate) —
-// rng.Mix(seed, w, r0+i) — chunk c over [c0, c1) holds exactly the rows
-// [c0, c1) of the flat build, so:
+// Replicate chunks. Every index materializes its replicate range as an
+// ordered list of chunks, each a self-contained candidate-major CSR over a
+// consecutive sub-range built from the same master seed. Because every walk
+// is seeded per (node, absolute replicate) — rng.Mix(seed, w, r0+i) — chunk
+// c over [c0, c1) holds exactly the rows [c0, c1) of a one-chunk build, so:
 //
 //   - integer gain and objective partials summed across chunks equal the
-//     flat build's sums exactly (the same invariant replicate-sharded
-//     serving merges on), making every chunked answer bit-identical to the
-//     flat answer at the same total width;
+//     one-chunk sums exactly (the same invariant replicate-sharded serving
+//     merges on), making every answer bit-identical whatever the chunking;
 //   - the index can grow one chunk at a time (ExtendReplicates) without
 //     disturbing existing chunks — the mechanism the adaptive accuracy
 //     driver in internal/core uses to stop sampling early when a confidence
 //     interval on the leading candidate's separation is tight.
 //
-// D-tables of a chunked index hold per-chunk columns (one flat child table
-// per chunk) behind the unchanged DTable API; SyncChunks attaches columns
-// for freshly extended chunks by replaying the table's selection history.
+// D-tables hold one column per chunk; SyncChunks attaches columns for
+// freshly extended chunks by replaying the table's selection history.
 
 // BuildChunkedWorkers materializes R replicates as consecutive chunks of
-// (at most) chunk replicates each — the last chunk is ragged when
-// R % chunk != 0 — sharded over the given number of goroutines per chunk
+// (at most) width replicates each — the last chunk is ragged when
+// R % width != 0 — sharded over the given number of goroutines per chunk
 // build. The result answers every query bit-identically to
-// BuildWorkers(g, L, R, seed, ·); it differs only in physical layout and in
-// supporting ExtendReplicates.
-func BuildChunkedWorkers(g *graph.Graph, L, R int, seed uint64, chunk, workers int) (*Index, error) {
+// BuildWorkers(g, L, R, seed, ·), which is the one-chunk build.
+func BuildChunkedWorkers(g *graph.Graph, L, R int, seed uint64, width, workers int) (*Index, error) {
 	if R <= 0 {
 		return nil, fmt.Errorf("index: sample size R = %d, want > 0", R)
 	}
-	return BuildChunkedRangeWorkers(g, L, seed, 0, R, chunk, workers)
+	return BuildChunkedRangeWorkers(g, L, seed, 0, R, width, workers)
 }
 
 // BuildChunkedRangeWorkers is BuildChunkedWorkers over the replicate range
 // [r0, r1): the chunked twin of BuildRangeWorkers. Chunk boundaries fall at
-// r0, r0+chunk, r0+2·chunk, ... capped at r1.
-func BuildChunkedRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, chunk, workers int) (*Index, error) {
-	if chunk < 1 {
-		return nil, fmt.Errorf("index: chunk size %d, want >= 1", chunk)
+// r0, r0+width, r0+2·width, ... capped at r1.
+func BuildChunkedRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, width, workers int) (*Index, error) {
+	if L < 0 {
+		return nil, fmt.Errorf("index: negative walk length %d", L)
+	}
+	if L > 1<<16-1 {
+		return nil, fmt.Errorf("index: walk length %d exceeds hop storage (max %d)", L, 1<<16-1)
 	}
 	if r0 < 0 || r1 <= r0 {
 		return nil, fmt.Errorf("index: replicate range [%d, %d) invalid, want 0 <= r0 < r1", r0, r1)
 	}
-	parent := &Index{g: g, l: L, rbase: r0, seed: seed, gepoch: g.Epoch(), parts: make([]*Index, 0, (r1-r0+chunk-1)/chunk)}
-	for c0 := r0; c0 < r1; c0 += chunk {
-		c1 := c0 + chunk
-		if c1 > r1 {
-			c1 = r1
-		}
-		pt, err := BuildRangeWorkers(g, L, seed, c0, c1, workers)
-		if err != nil {
-			return nil, err
-		}
-		parent.parts = append(parent.parts, pt)
-		parent.r += c1 - c0
+	if width < 1 {
+		return nil, fmt.Errorf("index: chunk size %d, want >= 1", width)
 	}
-	return parent, nil
+	ix := &Index{g: g, l: L, r: r1 - r0, rbase: r0, seed: seed, gepoch: g.Epoch(),
+		chunks: make([]*chunk, 0, (r1-r0+width-1)/width)}
+	for c0 := r0; c0 < r1; c0 += width {
+		ix.chunks = append(ix.chunks, buildChunk(g, L, seed, c0, min(c0+width, r1), workers))
+	}
+	return ix, nil
 }
 
 // ExtendReplicates appends one fresh chunk of width replicates at the end of
 // the materialized range, so the index answers for R+width replicates
-// exactly as a from-scratch chunked build of that width would. Only chunked
-// indexes extend; D-tables created before the extension must call SyncChunks
-// before their next read. Like Repair, ExtendReplicates mutates the index
-// and must not run concurrently with readers.
+// exactly as a from-scratch build of that width would. D-tables created
+// before the extension must call SyncChunks before their next read. Like
+// Repair, ExtendReplicates mutates the index and must not run concurrently
+// with readers.
 func (ix *Index) ExtendReplicates(width, workers int) error {
-	if ix.parts == nil {
-		return fmt.Errorf("index: ExtendReplicates requires a chunked index (BuildChunkedWorkers)")
+	if ix.fromWalks {
+		return fmt.Errorf("index: ExtendReplicates on an index built from explicit walks")
 	}
 	if width <= 0 {
 		return fmt.Errorf("index: extend width %d, want > 0", width)
 	}
 	c0 := ix.rbase + ix.r
-	pt, err := BuildRangeWorkers(ix.g, ix.l, ix.seed, c0, c0+width, workers)
-	if err != nil {
-		return err
-	}
-	ix.parts = append(ix.parts, pt)
+	ix.chunks = append(ix.chunks, buildChunk(ix.g, ix.l, ix.seed, c0, c0+width, workers))
 	ix.r += width
 	ix.resetEmptyMemos()
 	return nil
 }
 
-// Chunked reports whether the index is stored as replicate chunks.
-func (ix *Index) Chunked() bool { return ix.parts != nil }
+// Chunks returns the number of replicate chunks.
+func (ix *Index) Chunks() int { return len(ix.chunks) }
 
-// Chunks returns the number of replicate chunks: 1 for a flat index.
-func (ix *Index) Chunks() int {
-	if ix.parts == nil {
-		return 1
-	}
-	return len(ix.parts)
-}
-
-// partFor maps local replicate i to the chunk holding it and i's offset
+// chunkFor maps local replicate i to the chunk holding it and i's offset
 // within that chunk.
-func (ix *Index) partFor(i int) (*Index, int) {
-	for _, pt := range ix.parts {
-		if i < pt.r {
-			return pt, i
+func (ix *Index) chunkFor(i int) (*chunk, int) {
+	for _, c := range ix.chunks {
+		if i < c.r {
+			return c, i
 		}
-		i -= pt.r
+		i -= c.r
 	}
 	panic(fmt.Sprintf("index: replicate %d beyond materialized width", i))
 }
@@ -118,58 +100,34 @@ func (ix *Index) partFor(i int) (*Index, int) {
 // for Problem 2 and at most L−1 hitting-time improvement for Problem 1) for
 // its Hoeffding/empirical-Bernstein confidence intervals.
 func (ix *Index) MaxRowLen(u int) int {
-	if ix.parts != nil {
-		best := 0
-		for _, pt := range ix.parts {
-			if m := pt.MaxRowLen(u); m > best {
-				best = m
-			}
-		}
-		return best
-	}
-	if ix.sb != nil {
-		return ix.maxRowLenStore(u)
-	}
-	base := int64(u) * int64(ix.r)
 	best := int64(0)
-	for i := int64(0); i < int64(ix.r); i++ {
-		lo, hi := ix.span(base + i)
-		if hi-lo > best {
-			best = hi - lo
+	for _, c := range ix.chunks {
+		starts, ends, _, _ := c.rows(u)
+		for i, lo := range starts {
+			best = max(best, ends[i]-lo)
 		}
 	}
 	return int(best)
 }
 
-// SyncChunks attaches per-chunk columns for chunks the index gained through
+// SyncChunks attaches columns for chunks the index gained through
 // ExtendReplicates since this table was created (or last synced), replaying
 // the table's Update history into each new column. Afterwards the table
 // answers exactly as a table freshly built at the current width with the
 // same selections applied. Syncing is a semantic mutation: outstanding
 // Snapshots of the table are invalidated when columns were attached.
-func (t *DTable) SyncChunks() error {
-	if t.tabs == nil {
-		if t.ix.parts == nil {
-			return nil
-		}
-		return fmt.Errorf("index: SyncChunks on a flat table of a chunked index")
+func (t *DTable) SyncChunks() {
+	if len(t.cols) == len(t.ix.chunks) {
+		return
 	}
-	grew := false
-	for len(t.tabs) < len(t.ix.parts) {
-		ct, err := t.ix.parts[len(t.tabs)].NewDTable(t.problem)
-		if err != nil {
-			return err
-		}
+	for _, c := range t.ix.chunks[len(t.cols):] {
+		col := newColumn(c, t.problem, t.ix.l, t.ix.g.N())
 		for _, u := range t.sel {
-			ct.Update(u)
+			col.update(t.problem, u)
 		}
-		t.tabs = append(t.tabs, ct)
-		grew = true
+		t.cols = append(t.cols, col)
 	}
-	if grew {
-		t.muts++
-	}
-	return nil
+	t.muts++
 }
 
 // AppendReplicateGainSums appends u's integer gain in each materialized
@@ -179,51 +137,35 @@ func (t *DTable) SyncChunks() error {
 // adaptive accuracy driver uses the per-replicate samples of the two
 // leading candidates to bound the separation of their means.
 func (t *DTable) AppendReplicateGainSums(u int, out []int64) []int64 {
-	if t.tabs != nil {
-		for _, tb := range t.tabs {
-			out = tb.AppendReplicateGainSums(u, out)
-		}
-		return out
-	}
-	if t.ix.sb != nil {
-		return t.appendReplicateGainSumsStore(u, out)
-	}
-	r := t.ix.r
-	base := u * r
-	ends := t.ix.ends
-	if t.problem == Problem1 {
-		for i := 0; i < r; i++ {
-			acc := int64(t.d[base+i])
-			lo, hi := t.ix.offsets[base+i], t.ix.offsets[base+i+1]
-			if ends != nil {
-				hi = ends[base+i]
-			}
-			ids := t.ix.ids[lo:hi]
-			hops := t.ix.hops[lo:hi]
-			for e, v := range ids {
-				if dv := t.d[int(v)*r+i]; hops[e] < dv {
-					acc += int64(dv - hops[e])
+	for ci := range t.cols {
+		col := &t.cols[ci]
+		r := col.c.r
+		d := col.d
+		own := d[u*r : u*r+r]
+		starts, ends, ids, hops := col.c.rows(u)
+		for i, lo := range starts {
+			hi := ends[i]
+			var acc int64
+			if t.problem == Problem1 {
+				acc = int64(own[i])
+				rh := hops[lo:hi]
+				for e, v := range ids[lo:hi] {
+					if dv := d[int(v)*r+i]; rh[e] < dv {
+						acc += int64(dv - rh[e])
+					}
+				}
+			} else {
+				if own[i] == 0 {
+					acc++
+				}
+				for _, v := range ids[lo:hi] {
+					if d[int(v)*r+i] == 0 {
+						acc++
+					}
 				}
 			}
 			out = append(out, acc)
 		}
-		return out
-	}
-	for i := 0; i < r; i++ {
-		var acc int64
-		if t.d[base+i] == 0 {
-			acc++
-		}
-		lo, hi := t.ix.offsets[base+i], t.ix.offsets[base+i+1]
-		if ends != nil {
-			hi = ends[base+i]
-		}
-		for _, v := range t.ix.ids[lo:hi] {
-			if t.d[int(v)*r+i] == 0 {
-				acc++
-			}
-		}
-		out = append(out, acc)
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 package index
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -39,7 +39,7 @@ func TestChunkedBitParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantChunks := (tc.R + tc.chunk - 1) / tc.chunk
-			if !chk.Chunked() || chk.Chunks() != wantChunks {
+			if chk.Chunks() != wantChunks {
 				t.Fatalf("%s/w%d: Chunks() = %d, want %d", tc.name, workers, chk.Chunks(), wantChunks)
 			}
 			if chk.R() != flat.R() || chk.Entries() != flat.Entries() {
@@ -130,9 +130,7 @@ func TestExtendReplicatesParity(t *testing.T) {
 			if err := chk.ExtendReplicates(step, 2); err != nil {
 				t.Fatal(err)
 			}
-			if err := ct.SyncChunks(); err != nil {
-				t.Fatal(err)
-			}
+			ct.SyncChunks()
 		}
 		if chk.R() != R || chk.Chunks() != 3 {
 			t.Fatalf("after extension: R = %d chunks = %d, want %d/3", chk.R(), chk.Chunks(), R)
@@ -150,17 +148,37 @@ func TestExtendReplicatesParity(t *testing.T) {
 	}
 }
 
-// TestExtendReplicatesErrors pins the extension contract: flat indexes and
-// non-positive widths are rejected.
+// TestExtendReplicatesErrors pins the extension contract: indexes built
+// from explicit walks (which cannot be sampled further) and non-positive
+// widths are rejected, while a one-chunk build extends like any other.
 func TestExtendReplicatesErrors(t *testing.T) {
 	g, _ := graph.BarabasiAlbert(40, 2, 1)
-	flat, _ := Build(g, 3, 4, 2)
-	if err := flat.ExtendReplicates(2, 1); err == nil {
-		t.Fatal("ExtendReplicates on a flat index accepted")
+	walks := make([][][]int32, g.N())
+	for w := range walks {
+		walks[w] = [][]int32{{int32(w)}}
+	}
+	fromWalks, err := BuildFromWalks(g, 2, 1, walks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fromWalks.ExtendReplicates(2, 1); err == nil {
+		t.Fatal("ExtendReplicates on an explicit-walk index accepted")
 	}
 	chk, _ := BuildChunkedWorkers(g, 3, 4, 2, 2, 1)
 	if err := chk.ExtendReplicates(0, 1); err == nil {
 		t.Fatal("zero-width extension accepted")
+	}
+	one, _ := Build(g, 3, 4, 2)
+	if err := one.ExtendReplicates(2, 1); err != nil {
+		t.Fatalf("ExtendReplicates on a one-chunk build: %v", err)
+	}
+	want, _ := Build(g, 3, 6, 2)
+	for _, p := range []Problem{Problem1, Problem2} {
+		a, _ := one.EmptySetGains(p)
+		b, _ := want.EmptySetGains(p)
+		if !slices.Equal(a, b) {
+			t.Fatalf("%v: extended one-chunk build diverges from a build of the full width", p)
+		}
 	}
 }
 
@@ -208,69 +226,6 @@ func TestMaxRowLenParity(t *testing.T) {
 	}
 }
 
-// TestChunkedSerializeRoundTrip pins the v7 container: a chunked index
-// round-trips with its chunk boundaries intact and identical answers, and a
-// flat index still loads back flat.
-func TestChunkedSerializeRoundTrip(t *testing.T) {
-	g, _ := graph.BarabasiAlbert(90, 3, 19)
-	chk, _ := BuildChunkedWorkers(g, 4, 10, 33, 4, 2)
-	var buf bytes.Buffer
-	nw, err := chk.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nw != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, buffer has %d", nw, buf.Len())
-	}
-	back, err := ReadIndex(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Chunked() || back.Chunks() != 3 || back.R() != 10 || back.Entries() != chk.Entries() {
-		t.Fatalf("round trip lost chunk structure: chunks = %d R = %d", back.Chunks(), back.R())
-	}
-	for _, p := range []Problem{Problem1, Problem2} {
-		a, _ := chk.NewDTable(p)
-		b, _ := back.NewDTable(p)
-		for _, u := range []int{0, 7, 44, 89} {
-			if a.Gain(u) != b.Gain(u) {
-				t.Fatalf("%v: gain mismatch at %d after round trip", p, u)
-			}
-			a.Update(u)
-			b.Update(u)
-		}
-	}
-	flat, _ := Build(g, 4, 10, 33)
-	buf.Reset()
-	if _, err := flat.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fb, err := ReadIndex(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb.Chunked() {
-		t.Fatal("flat index loaded back chunked")
-	}
-}
-
-// TestChunkedCorruptChunkRejected flips one payload byte of a middle chunk
-// and expects the per-chunk CRC to report it.
-func TestChunkedCorruptChunkRejected(t *testing.T) {
-	g, _ := graph.BarabasiAlbert(60, 2, 23)
-	chk, _ := BuildChunkedWorkers(g, 4, 9, 3, 3, 1)
-	var buf bytes.Buffer
-	if _, err := chk.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	bad := append([]byte(nil), raw...)
-	bad[len(bad)/2] ^= 0x10
-	if _, err := ReadIndex(bytes.NewReader(bad), g); err == nil {
-		t.Fatal("corrupt chunk accepted")
-	}
-}
-
 // TestChunkedRepairParity pins incremental repair across chunks: repairing a
 // chunked index after a graph delta answers exactly as a fresh chunked (and
 // flat) build against the mutated graph.
@@ -314,9 +269,12 @@ func TestChunkedRepairParity(t *testing.T) {
 		}
 	}
 	// Compacting every chunk must reproduce the rebuild's physical arrays.
-	chk.Compact()
-	for ci, pt := range chk.parts {
-		ref := rebuiltChk.parts[ci]
+	for ci, c := range chk.chunks {
+		pt, err := c.compacted()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := rebuiltChk.chunks[ci]
 		if len(pt.ids) != len(ref.ids) {
 			t.Fatalf("chunk %d: %d ids after compacted repair, rebuild has %d", ci, len(pt.ids), len(ref.ids))
 		}
@@ -352,9 +310,7 @@ func TestChunkedSnapshotExtendFrom(t *testing.T) {
 	if err := chk.ExtendReplicates(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.SyncChunks(); err != nil {
-		t.Fatal(err)
-	}
+	src.SyncChunks()
 	fresh, _ := chk.NewDTable(Problem2)
 	if err := fresh.ExtendFrom(snap); err == nil {
 		t.Fatal("stale snapshot accepted after SyncChunks widened its source")

@@ -20,24 +20,27 @@
 //
 // # Memory layout
 //
-// Within one materialized replicate range, the index and the D-table are
-// stored candidate-major: row (v, i) lives at v·R+i, so the R replicate rows
-// of one node are contiguous. One Gain(u) therefore reads a single
-// contiguous span of index entries (ids[offsets[u·R] : offsets[(u+1)·R]])
-// and one contiguous D-span (d[u·R : (u+1)·R]) instead of the R scattered
-// rows a replicate-major d[i·n+u] layout costs. The selection loop evaluates
-// Gain over many candidates per round, so this is the hot-path layout; the
-// ablation benchmark in the index test suite quantifies the difference.
+// Every index is an ordered list of one or more replicate chunks, each a
+// candidate-major CSR over a consecutive replicate range: row (v, i) of a
+// chunk of width r lives at v·r+i, so the r replicate rows of one node are
+// contiguous. One Gain(u) therefore reads one contiguous span of index
+// entries per chunk and one contiguous D-span (d[u·r : (u+1)·r]) instead of
+// the R scattered rows a replicate-major d[i·n+u] layout costs. The
+// selection loop evaluates Gain over many candidates per round, so this is
+// the hot-path layout; the ablation benchmark in the index test suite
+// quantifies the difference.
 //
-// An index can also be chunked (chunked.go): an ordered set of replicate
-// chunks, each a self-contained candidate-major CSR over a consecutive
-// replicate range built by BuildRangeWorkers from the same master seed.
-// Per-walk seeding by (node, absolute replicate) makes each chunk a
-// deterministic slice of the flat build, so integer gain/objective partials
-// summed across chunks equal the flat sums exactly, and a chunked index can
-// grow one chunk at a time (ExtendReplicates) — the mechanism behind
-// adaptive accuracy budgets. The on-disk format (serialize.go, v7) stores
-// one payload + CRC per chunk; a flat index serializes as a single chunk.
+// Walks are seeded per (node, absolute replicate), so chunk [c0, c1) holds
+// exactly the rows [c0, c1) of a one-chunk build of the whole range:
+// integer gain and objective partials summed across chunks equal the
+// one-chunk sums, and an index can grow one chunk at a time
+// (ExtendReplicates), the mechanism behind adaptive accuracy budgets.
+//
+// A chunk's rows live in one of three backings: heap arrays (a build, or
+// the patched rows a copy-on-write repair leaves), raw sections aliased
+// from a format-v8 store file's pages, or compressed spans decoded on read
+// (internal/store). Only the chunk's rows accessor knows which; every
+// kernel reads through it. The one on-disk format is v8 (backing.go).
 //
 // Gains are pure reads of the D-table between Update calls and accumulate
 // in integers, so GainBatch may be invoked concurrently from any number of
@@ -47,6 +50,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,9 +85,9 @@ func (p Problem) String() string {
 // Index is the inverted index of Algorithm 3. It is safe for concurrent
 // readers and immutable under them. A graph delta does not modify it:
 // Repaired (mutate.go) derives a copy-on-write successor while readers keep
-// scanning this instance. The in-place mutations — Repair, Compact,
-// Promote and ExtendReplicates — require the caller to exclude readers for
-// their duration. D-tables carry the per-query mutable state.
+// scanning this instance. The in-place mutations — Repair and
+// ExtendReplicates — require the caller to exclude readers for their
+// duration. D-tables carry the per-query mutable state.
 type Index struct {
 	g *graph.Graph
 	l int
@@ -103,65 +107,27 @@ type Index struct {
 
 	// gepoch is the mutation epoch of the graph the entries reflect: equal to
 	// g.Epoch() at build time and one past the predecessor's after a repair.
-	// It is part of the serialized identity (format v6), so a spill file
-	// written before a mutation can never warm-load as current afterwards
-	// even when the mutation round-trips the structure (fingerprint alone
-	// cannot tell "mutated back" from "never mutated").
+	// It is part of the serialized identity, so a spill file written before
+	// a mutation can never warm-load as current afterwards even when the
+	// mutation round-trips the structure (fingerprint alone cannot tell
+	// "mutated back" from "never mutated").
 	gepoch uint64
 	// fromWalks marks indexes assembled by BuildFromWalks: their walks were
-	// supplied, not sampled from seed, so Repair cannot deterministically
-	// regenerate them and refuses.
+	// supplied, not sampled from seed, so Repair and ExtendReplicates
+	// cannot deterministically regenerate or extend them and refuse.
 	fromWalks bool
 
-	// parts, when non-nil, marks a chunked index: an ordered set of
-	// self-contained partial indexes over consecutive replicate ranges
-	// (chunked.go). Each part is a flat candidate-major CSR built by
-	// BuildRangeWorkers over its own range, so per-walk seeding guarantees the
-	// chunks concatenate to exactly the rows a flat build of the same total
-	// width materializes. A chunked parent holds only aggregate metadata
-	// (g/l/r/rbase/seed/gepoch) — its offsets/ids/hops/ends stay nil — and
-	// every accessor sums or delegates across parts in replicate order.
-	// Flat indexes (parts == nil) are untouched by the chunked machinery.
-	parts []*Index
+	// chunks is the materialized replicate range [rbase, rbase+r) as one or
+	// more consecutive replicate chunks, in replicate order.
+	chunks []*chunk
 
-	// Row (i, v) occupies ids[span(v*R+i)] with parallel first-visit hops in
-	// hops — candidate-major, all R rows of a node contiguous (see the
-	// package comment). Entries are (source node, hop of first visit), sorted
-	// by source; a source appears at most once per row.
-	//
-	// Freshly built or loaded indexes are compact: ends is nil and row k is
-	// ids[offsets[k]:offsets[k+1]]. A repaired index is patched: ends
-	// is non-nil, row k is ids[offsets[k]:ends[k]], rows need not be adjacent
-	// or in order, and dead counts unreachable slots (shrunken-row slack and
-	// relocated rows' old storage). Compact restores the canonical compact
-	// form; WriteTo always serializes it, so the on-disk format never sees
-	// patched layout.
-	offsets []int64
-	ids     []int32
-	hops    []uint16
-	ends    []int64
-	dead    int64
-	// tailClaimed is set by the one successor (Repaired) allowed to append
-	// into the spare capacity of ids/hops past their length; any other
-	// successor copies.
-	tailClaimed atomic.Bool
-
-	// stf, when non-nil, marks a store-backed index (backing.go): the CSR
-	// data lives in a format-v8 store file (internal/store), served either
-	// by aliasing offsets/ids/hops directly out of its pages (raw chunks) or
-	// by decode-on-read (sb below). The reference pins the file's mapping —
-	// slices into a mapping do not keep it reachable on their own — so an
-	// in-flight query can never lose its pages; unmapping happens via
-	// finalizer when the last store-backed Index drops. On a chunked parent
-	// stf is the shared file of its store-backed parts.
+	// stf, when non-nil, marks a store-backed index (backing.go): some
+	// chunks serve their rows from this format-v8 store file. The reference
+	// pins the file's mapping — slices into a mapping do not keep it
+	// reachable on their own — so an in-flight query can never lose its
+	// pages; unmapping happens via finalizer when the last store-backed
+	// Index drops.
 	stf *store.File
-	// sb, when non-nil, serves this flat chunk's rows by decoding the
-	// file's compressed spans on read (with a hot-row cache) instead of
-	// materialized arrays; offsets/ids/hops are nil and sbEntries holds the
-	// chunk's entry count from the file directory. A repaired successor is
-	// always heap-resident.
-	sb        *store.Spans
-	sbEntries int64
 
 	// emptyGains memoizes the per-problem empty-set gain vectors (slot 0:
 	// Problem 1, slot 1: Problem 2), computed lazily by EmptySetGains under
@@ -175,13 +141,83 @@ type Index struct {
 	emptySums  [2][]int64
 }
 
-// span returns the bounds of row k in ids/hops, valid in both compact and
-// patched layouts.
-func (ix *Index) span(k int64) (lo, hi int64) {
-	if ix.ends == nil {
-		return ix.offsets[k], ix.offsets[k+1]
+// chunk is one replicate chunk: the candidate-major rows of the consecutive
+// absolute replicates [r0, r0+r), self-contained (its own row offsets and
+// entry storage).
+//
+// Row (v, i) holds the sources whose i-th walk visits v, with parallel
+// first-visit hops, sorted by source; a source appears at most once per
+// row. Built and loaded chunks are compact: ends is nil and row k is
+// ids[offsets[k]:offsets[k+1]]. A repaired chunk is patched: ends is
+// non-nil, row k is ids[offsets[k]:ends[k]], rows need not be adjacent or
+// in order, and dead counts unreachable slots (shrunken-row slack and
+// relocated rows' old storage). A compressed store chunk has sb set and no
+// arrays at all. rows is the one reader that knows the difference.
+type chunk struct {
+	r0, r   int
+	offsets []int64
+	ids     []int32
+	hops    []uint16
+	ends    []int64
+	dead    int64
+	// stored marks a chunk whose rows live in its index's store file —
+	// raw sections aliased from the pages, or sb — rather than in owned
+	// heap arrays. Mapped pages are read-only, so a repair never shares
+	// their storage.
+	stored bool
+	// sb, when non-nil, serves the rows by decoding the file's compressed
+	// spans on read (with a hot-row cache); sbEntries is the chunk's entry
+	// count from the file directory.
+	sb        *store.Spans
+	sbEntries int64
+	// tailClaimed is set by the one successor (Repaired) allowed to append
+	// into the spare capacity of ids/hops past their length; any other
+	// successor copies.
+	tailClaimed atomic.Bool
+}
+
+// rows returns node u's r replicate rows: row i is ids[starts[i]:ends[i]]
+// with parallel hops. It is the one place that knows the chunk's backing —
+// compact heap rows and mapped raw sections read offsets[u·r : u·r+r+1],
+// patched rows pair those starts with ends[u·r : u·r+r], and compressed
+// spans decode node u's block. The slices alias chunk storage (or a
+// decoded block) and must not be modified.
+func (c *chunk) rows(u int) (starts, ends []int64, ids []int32, hops []uint16) {
+	if c.sb != nil {
+		offs, ids, hops := c.sb.NodeSpan(u)
+		return offs[:c.r], offs[1:], ids, hops
 	}
-	return ix.offsets[k], ix.ends[k]
+	base := u * c.r
+	starts = c.offsets[base : base+c.r]
+	if c.ends != nil {
+		return starts, c.ends[base : base+c.r], c.ids, c.hops
+	}
+	return starts, c.offsets[base+1 : base+c.r+1], c.ids, c.hops
+}
+
+// contiguous reports whether each node's rows lie back to back (every
+// layout but the patched one), so one span covers all of them.
+func (c *chunk) contiguous() bool { return c.ends == nil }
+
+// entries returns the chunk's live entry count.
+func (c *chunk) entries() int64 {
+	switch {
+	case c.sb != nil:
+		return c.sbEntries
+	case c.ends != nil:
+		return int64(len(c.ids)) - c.dead
+	}
+	return c.offsets[len(c.offsets)-1]
+}
+
+// heapBytes returns the chunk's owned heap arrays' footprint: 0 for a
+// stored chunk, whose entries are pages or the file buffer the index
+// accounts once.
+func (c *chunk) heapBytes() int64 {
+	if c.stored {
+		return 0
+	}
+	return int64(len(c.offsets))*8 + int64(len(c.ids))*4 + int64(len(c.hops))*2 + int64(len(c.ends))*8
 }
 
 // Build materializes R L-length random walks per node and constructs the
@@ -228,15 +264,12 @@ func BuildWorkers(g *graph.Graph, L, R int, seed uint64, workers int) (*Index, e
 // a replicate-sharded deployment merge partial answers bit-for-bit.
 // BuildWorkers is BuildRangeWorkers over [0, R).
 func BuildRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, workers int) (*Index, error) {
-	if L < 0 {
-		return nil, fmt.Errorf("index: negative walk length %d", L)
-	}
-	if L > 1<<16-1 {
-		return nil, fmt.Errorf("index: walk length %d exceeds hop storage (max %d)", L, 1<<16-1)
-	}
-	if r0 < 0 || r1 <= r0 {
-		return nil, fmt.Errorf("index: replicate range [%d, %d) invalid, want 0 <= r0 < r1", r0, r1)
-	}
+	return BuildChunkedRangeWorkers(g, L, seed, r0, r1, r1-r0, workers)
+}
+
+// buildChunk materializes the replicate range [r0, r1) as one chunk,
+// sharded over workers goroutines. Parameters are validated by the caller.
+func buildChunk(g *graph.Graph, L int, seed uint64, r0, r1, workers int) *chunk {
 	R := r1 - r0
 	if workers < 1 {
 		workers = 1
@@ -245,7 +278,7 @@ func BuildRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, workers int) 
 	if workers > n {
 		workers = n
 	}
-	ix := &Index{g: g, l: L, r: R, rbase: r0, seed: seed, gepoch: g.Epoch()}
+	ch := &chunk{r0: r0, r: R}
 	rows := R * n
 	counts := make([]int64, rows+1)
 
@@ -344,7 +377,7 @@ func BuildRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, workers int) 
 		}
 		bufs[wk] = buf
 	})
-	ix.offsets = counts
+	ch.offsets = counts
 	if private {
 		// Merge the private counters into CSR starts, and in the same pass
 		// turn each worker's counter into its absolute write cursor: workers
@@ -352,22 +385,22 @@ func BuildRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, workers int) 
 		// no synchronization at all.
 		run := int64(0)
 		for row := 0; row < rows; row++ {
-			ix.offsets[row] = run
+			ch.offsets[row] = run
 			for wk := 0; wk < workers; wk++ {
 				c := perWorker[wk][row]
 				perWorker[wk][row] = run
 				run += c
 			}
 		}
-		ix.offsets[rows] = run
+		ch.offsets[rows] = run
 	} else {
 		for i := 1; i <= rows; i++ {
-			ix.offsets[i] += ix.offsets[i-1]
+			ch.offsets[i] += ch.offsets[i-1]
 		}
 	}
-	total := ix.offsets[rows]
-	ix.ids = make([]int32, total)
-	ix.hops = make([]uint16, total)
+	total := ch.offsets[rows]
+	ch.ids = make([]int32, total)
+	ch.hops = make([]uint16, total)
 
 	// Pass 2: replay the buffers — a sequential read — and scatter entries
 	// into their rows. On the private path each worker claims slots from its
@@ -395,13 +428,13 @@ func BuildRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, workers int) 
 						c = mine[row]
 						mine[row] = c + 1
 					case atomicOps:
-						c = atomic.AddInt64(&ix.offsets[row], 1) - 1
+						c = atomic.AddInt64(&ch.offsets[row], 1) - 1
 					default:
-						c = ix.offsets[row]
-						ix.offsets[row] = c + 1
+						c = ch.offsets[row]
+						ch.offsets[row] = c + 1
 					}
-					ix.ids[c] = ww
-					ix.hops[c] = buf.hops[pos]
+					ch.ids[c] = ww
+					ch.hops[c] = buf.hops[pos]
 					pos++
 				}
 			}
@@ -411,10 +444,10 @@ func BuildRangeWorkers(g *graph.Graph, L int, seed uint64, r0, r1, workers int) 
 		// offsets[row] now holds the end of its row, i.e. the start of row+1:
 		// shift right to restore the CSR starts (offsets[rows] was never used
 		// as a cursor and still holds the total).
-		copy(ix.offsets[1:], ix.offsets[:rows])
-		ix.offsets[0] = 0
+		copy(ch.offsets[1:], ch.offsets[:rows])
+		ch.offsets[0] = 0
 	}
-	return ix, nil
+	return ch
 }
 
 // BuildFromWalks constructs an index from explicitly provided walks instead
@@ -432,7 +465,7 @@ func BuildFromWalks(g *graph.Graph, L, R int, walks [][][]int32) (*Index, error)
 	if len(walks) != n {
 		return nil, fmt.Errorf("index: walks for %d nodes, graph has %d", len(walks), n)
 	}
-	ix := &Index{g: g, l: L, r: R, gepoch: g.Epoch(), fromWalks: true}
+	ch := &chunk{r: R}
 	rows := R * n
 	counts := make([]int64, rows+1)
 	visited := make([]uint32, n)
@@ -474,31 +507,31 @@ func BuildFromWalks(g *graph.Graph, L, R int, walks [][][]int32) (*Index, error)
 			}
 		}
 	}
-	ix.offsets = counts
+	ch.offsets = counts
 	for i := 1; i <= rows; i++ {
-		ix.offsets[i] += ix.offsets[i-1]
+		ch.offsets[i] += ch.offsets[i-1]
 	}
-	total := ix.offsets[rows]
-	ix.ids = make([]int32, total)
-	ix.hops = make([]uint16, total)
+	total := ch.offsets[rows]
+	ch.ids = make([]int32, total)
+	ch.hops = make([]uint16, total)
 	cursor := make([]int64, rows)
-	copy(cursor, ix.offsets[:rows])
+	copy(cursor, ch.offsets[:rows])
 	for w := 0; w < n; w++ {
 		ww := int32(w)
 		for i := 0; i < R; i++ {
 			ii := int64(i)
 			if err := firstVisits(w, i, func(v int32, hop uint16) {
 				row := int64(v)*int64(R) + ii
-				c := cursor[row]
-				ix.ids[c] = ww
-				ix.hops[c] = hop
-				cursor[row] = c + 1
+				e := cursor[row]
+				ch.ids[e] = ww
+				ch.hops[e] = hop
+				cursor[row] = e + 1
 			}); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return ix, nil
+	return &Index{g: g, l: L, r: R, gepoch: g.Epoch(), fromWalks: true, chunks: []*chunk{ch}}, nil
 }
 
 // Graph returns the indexed graph.
@@ -528,119 +561,98 @@ func (ix *Index) GraphEpoch() uint64 { return ix.gepoch }
 // Entries returns the number of materialized (source, first-visit) pairs;
 // it is bounded by nRL.
 func (ix *Index) Entries() int64 {
-	if ix.parts != nil {
-		var total int64
-		for _, pt := range ix.parts {
-			total += pt.Entries()
-		}
-		return total
+	var total int64
+	for _, c := range ix.chunks {
+		total += c.entries()
 	}
-	if ix.sb != nil {
-		return ix.sbEntries
-	}
-	if ix.ends != nil {
-		return int64(len(ix.ids)) - ix.dead
-	}
-	return ix.offsets[len(ix.offsets)-1]
+	return total
 }
 
 // Row returns the sources that hit node v in replicate i and their
 // first-visit hops. The slices alias index storage and must not be modified.
 func (ix *Index) Row(i, v int) (ids []int32, hops []uint16) {
-	if ix.parts != nil {
-		pt, li := ix.partFor(i)
-		return pt.Row(li, v)
-	}
-	if ix.sb != nil {
-		return ix.storeRow(i, v)
-	}
-	lo, hi := ix.span(int64(v)*int64(ix.r) + int64(i))
-	return ix.ids[lo:hi], ix.hops[lo:hi]
+	c, li := ix.chunkFor(i)
+	starts, ends, ids, hops := c.rows(v)
+	lo, hi := starts[li], ends[li]
+	return ids[lo:hi], hops[lo:hi]
 }
 
 // MemoryBytes reports the approximate heap footprint of the index, used by
 // the scalability experiment to confirm O(nRL + m) space and by the cache's
 // bytes budget. A store-backed chunk's entry data lives on mapped pages (or
-// in the shared file buffer accounted once on the parent, see below), not
-// the Go heap, so it reports ~0: mapped indexes are nearly free against the
+// in the shared file buffer, accounted once), not the Go heap, so a fully
+// mapped index reports ~0: mapped indexes are nearly free against the
 // budget, which is exactly what lets a cache serve more index than RAM.
 func (ix *Index) MemoryBytes() int64 {
-	if ix.parts != nil {
-		total := int64(0)
-		if ix.stf != nil {
-			total = ix.stf.HeapBytes()
-		}
-		for _, pt := range ix.parts {
-			if pt.stf != nil {
-				continue // pages or shared buffer, counted on the parent
-			}
-			total += pt.MemoryBytes()
-		}
-		return total
-	}
+	var total int64
 	if ix.stf != nil {
-		return ix.stf.HeapBytes()
+		total = ix.stf.HeapBytes()
 	}
-	return int64(len(ix.offsets))*8 + int64(len(ix.ids))*4 + int64(len(ix.hops))*2 + int64(len(ix.ends))*8
+	for _, c := range ix.chunks {
+		total += c.heapBytes()
+	}
+	return total
 }
 
 // DTable is the mutable D[1:R][1:n] array of Algorithms 4–6, tracking the
 // per-sample hitting estimate of each node's walks under the current set S.
-// A DTable belongs to a single greedy run and is not safe for concurrent
-// mutation; Gain and GainBatch are pure reads and may run concurrently with
-// each other (but not with Update or EstimateObjective).
+// It holds one column per index chunk; every read sums exact int64 partials
+// across columns, so answers do not depend on how the replicates are
+// chunked. A DTable belongs to a single greedy run and is not safe for
+// concurrent mutation; Gain and GainBatch are pure reads and may run
+// concurrently with each other (but not with Update or EstimateObjective).
 type DTable struct {
 	ix      *Index
 	problem Problem
-	d       []uint16 // candidate-major: d[u*R+i], matching the index rows
-	size    int      // |S| so far
-	// tabs, when non-nil, marks the table of a chunked index: one flat child
-	// table per replicate chunk (per-chunk columns), with d/sat unused on the
-	// parent. Every read sums exact int64 partials across tabs; Update fans
-	// out to every tab. sel records the Update history so SyncChunks can
-	// replay it into columns for chunks attached after the table was created.
-	tabs []*DTable
-	sel  []int
-	// sat, Problem 2 only, memoizes nodes whose replicate row is fully
-	// saturated (all R entries 1). Rows are monotone non-decreasing, so a
-	// saturated row stays saturated; EstimateObjective uses it to skip the
-	// O(R) scan. Lazily maintained — false just means "not yet observed
-	// saturated".
-	sat []bool
-	// muts counts semantic mutations (Update, ExtendFrom) so Snapshot can
-	// detect that its aliased view of the table went stale. sat memoization
-	// is not a semantic mutation and does not bump it.
+	cols    []column
+	// sel records the Update history, in order: |S| is its length, and
+	// SyncChunks replays it into columns for chunks attached after the
+	// table was created.
+	sel []int
+	// muts counts semantic mutations (Update, ExtendFrom, SyncChunks) so
+	// Snapshot can detect that its aliased view of the table went stale. sat
+	// memoization is not a semantic mutation and does not bump it.
 	muts uint64
 }
 
+// column is one chunk's slice of a D-table.
+type column struct {
+	c *chunk
+	d []uint16 // candidate-major: d[u*r+i], matching the chunk's rows
+	// sat, Problem 2 only, memoizes nodes whose replicate row is fully
+	// saturated (all r entries 1). Rows are monotone non-decreasing, so a
+	// saturated row stays saturated; EstimateObjective uses it to skip the
+	// O(r) scan. Lazily maintained — false just means "not yet observed
+	// saturated".
+	sat []bool
+}
+
+// newColumn returns chunk c's fresh column: L everywhere for Problem 1
+// ("h_uS = L given S = ∅", Algorithm 6 line 3), 0 everywhere for Problem 2.
+func newColumn(c *chunk, p Problem, L, n int) column {
+	col := column{c: c, d: make([]uint16, c.r*n)}
+	if p == Problem1 {
+		l := uint16(L)
+		for i := range col.d {
+			col.d[i] = l
+		}
+	} else {
+		col.sat = make([]bool, n)
+	}
+	return col
+}
+
 // NewDTable returns a fresh D-table for the given problem: initialized to L
-// everywhere for Problem 1 ("h_uS = L given S = ∅", Algorithm 6 line 3) and
-// to 0 everywhere for Problem 2.
+// everywhere for Problem 1 and to 0 everywhere for Problem 2.
 func (ix *Index) NewDTable(p Problem) (*DTable, error) {
 	if p != Problem1 && p != Problem2 {
 		return nil, fmt.Errorf("index: unknown problem %d", int(p))
 	}
-	if ix.parts != nil {
-		t := &DTable{ix: ix, problem: p, tabs: make([]*DTable, 0, len(ix.parts))}
-		for _, pt := range ix.parts {
-			ct, err := pt.NewDTable(p)
-			if err != nil {
-				return nil, err
-			}
-			t.tabs = append(t.tabs, ct)
-		}
-		return t, nil
+	t := &DTable{ix: ix, problem: p, cols: make([]column, len(ix.chunks))}
+	for i, c := range ix.chunks {
+		t.cols[i] = newColumn(c, p, ix.l, ix.g.N())
 	}
-	d := &DTable{ix: ix, problem: p, d: make([]uint16, ix.r*ix.g.N())}
-	if p == Problem1 {
-		l := uint16(ix.l)
-		for i := range d.d {
-			d.d[i] = l
-		}
-	} else {
-		d.sat = make([]bool, ix.g.N())
-	}
-	return d, nil
+	return t, nil
 }
 
 // Problem returns which objective this table tracks.
@@ -649,26 +661,15 @@ func (t *DTable) Problem() Problem { return t.problem }
 // Clone returns an independent copy of the table, used to evaluate
 // hypothetical selections without disturbing the greedy state.
 func (t *DTable) Clone() *DTable {
-	if t.tabs != nil {
-		c := &DTable{ix: t.ix, problem: t.problem, size: t.size, tabs: make([]*DTable, 0, len(t.tabs))}
-		for _, tb := range t.tabs {
-			c.tabs = append(c.tabs, tb.Clone())
-		}
-		c.sel = append([]int(nil), t.sel...)
-		return c
+	c := &DTable{ix: t.ix, problem: t.problem, cols: make([]column, len(t.cols)), sel: slices.Clone(t.sel)}
+	for i, col := range t.cols {
+		c.cols[i] = column{c: col.c, d: slices.Clone(col.d), sat: slices.Clone(col.sat)}
 	}
-	d := make([]uint16, len(t.d))
-	copy(d, t.d)
-	var sat []bool
-	if t.sat != nil {
-		sat = make([]bool, len(t.sat))
-		copy(sat, t.sat)
-	}
-	return &DTable{ix: t.ix, problem: t.problem, d: d, size: t.size, sat: sat}
+	return c
 }
 
 // Size returns the number of Update calls applied, i.e. |S|.
-func (t *DTable) Size() int { return t.size }
+func (t *DTable) Size() int { return len(t.sel) }
 
 // Gain implements Algorithm 4: the approximate marginal gain of adding u to
 // the current set, averaged over the R replicates.
@@ -685,55 +686,47 @@ func (t *DTable) Gain(u int) float64 {
 
 // gainInt is Gain before the final division: the integer sum over the R
 // replicates. Integer accumulation makes the value independent of entry
-// order within rows and of how candidates are sharded across goroutines,
-// which is what keeps parallel selections bit-for-bit reproducible.
-//
-// The candidate-major layout makes this a single pass over two contiguous
-// spans: the candidate's own D-row d[u·R : (u+1)·R] and the candidate's
-// index entries ids[offsets[u·R] : offsets[(u+1)·R]].
+// order within rows, of how candidates are sharded across goroutines and
+// of how replicates are chunked, which is what keeps parallel selections
+// bit-for-bit reproducible.
 func (t *DTable) gainInt(u int) int64 {
-	if t.tabs != nil {
-		var acc int64
-		for _, tb := range t.tabs {
-			acc += tb.gainInt(u)
+	var acc int64
+	for i := range t.cols {
+		acc += t.cols[i].gainInt(t.problem, u)
+	}
+	return acc
+}
+
+// gainInt is one column's share of DTable.gainInt. The candidate-major
+// layout makes it a single pass over the candidate's own D-row
+// d[u·r : (u+1)·r] and the candidate's r index rows.
+func (col *column) gainInt(p Problem, u int) int64 {
+	r := col.c.r
+	d := col.d
+	own := d[u*r : u*r+r]
+	starts, ends, ids, hops := col.c.rows(u)
+	ends = ends[:len(starts)]
+	var acc int64
+	if p == Problem1 {
+		for i, lo := range starts {
+			acc += int64(own[i])
+			hi := ends[i]
+			rh := hops[lo:hi]
+			for e, v := range ids[lo:hi] {
+				if dv := d[int(v)*r+i]; rh[e] < dv {
+					acc += int64(dv - rh[e])
+				}
+			}
 		}
 		return acc
 	}
-	if t.ix.sb != nil {
-		return t.gainIntStore(u)
-	}
-	r := t.ix.r
-	base := u * r
-	ends := t.ix.ends
-	var acc int64
-	if t.problem == Problem1 {
-		for i := 0; i < r; i++ {
-			acc += int64(t.d[base+i])
-			lo, hi := t.ix.offsets[base+i], t.ix.offsets[base+i+1]
-			if ends != nil {
-				hi = ends[base+i]
-			}
-			ids := t.ix.ids[lo:hi]
-			hops := t.ix.hops[lo:hi]
-			for e, v := range ids {
-				if dv := t.d[int(v)*r+i]; hops[e] < dv {
-					acc += int64(dv - hops[e])
-				}
-			}
+	for i, lo := range starts {
+		if own[i] == 0 {
+			acc++
 		}
-	} else {
-		for i := 0; i < r; i++ {
-			if t.d[base+i] == 0 {
+		for _, v := range ids[lo:ends[i]] {
+			if d[int(v)*r+i] == 0 {
 				acc++
-			}
-			lo, hi := t.ix.offsets[base+i], t.ix.offsets[base+i+1]
-			if ends != nil {
-				hi = ends[base+i]
-			}
-			for _, v := range t.ix.ids[lo:hi] {
-				if t.d[int(v)*r+i] == 0 {
-					acc++
-				}
 			}
 		}
 	}
@@ -779,28 +772,9 @@ func (t *DTable) GainSumBatch(us []int, out []int64) []int64 {
 // the final float64 arithmetic once, reproducing EstimateObjective's value
 // bit-for-bit.
 func (t *DTable) ObjectiveSum(members []bool) int64 {
-	if t.tabs != nil {
-		var acc int64
-		for _, tb := range t.tabs {
-			acc += tb.ObjectiveSum(members)
-		}
-		return acc
-	}
-	n := t.ix.g.N()
-	r := t.ix.r
 	var acc int64
-	for u := 0; u < n; u++ {
-		if t.problem == Problem1 && members[u] {
-			continue
-		}
-		if t.sat != nil && t.sat[u] {
-			acc += int64(r)
-			continue
-		}
-		base := u * r
-		for i := 0; i < r; i++ {
-			acc += int64(t.d[base+i])
-		}
+	for i := range t.cols {
+		acc += t.cols[i].objective(t.problem, members, false)
 	}
 	return acc
 }
@@ -808,53 +782,39 @@ func (t *DTable) ObjectiveSum(members []bool) int64 {
 // Update implements Algorithm 5: fold the newly selected node u into the
 // D-table so subsequent Gain calls are relative to S ∪ {u}.
 func (t *DTable) Update(u int) {
-	if t.tabs != nil {
-		for _, tb := range t.tabs {
-			tb.Update(u)
-		}
-		t.sel = append(t.sel, u)
-		t.size++
-		t.muts++
-		return
+	for i := range t.cols {
+		t.cols[i].update(t.problem, u)
 	}
-	if t.ix.sb != nil {
-		t.updateStore(u)
-		t.size++
-		t.muts++
-		return
-	}
-	r := t.ix.r
-	base := u * r
-	ends := t.ix.ends
-	if t.problem == Problem1 {
-		for i := 0; i < r; i++ {
-			t.d[base+i] = 0
-			lo, hi := t.ix.offsets[base+i], t.ix.offsets[base+i+1]
-			if ends != nil {
-				hi = ends[base+i]
-			}
-			ids := t.ix.ids[lo:hi]
-			hops := t.ix.hops[lo:hi]
-			for e, v := range ids {
-				if j := int(v)*r + i; hops[e] < t.d[j] {
-					t.d[j] = hops[e]
+	t.sel = append(t.sel, u)
+	t.muts++
+}
+
+// update is one column's share of DTable.Update.
+func (col *column) update(p Problem, u int) {
+	r := col.c.r
+	d := col.d
+	own := d[u*r : u*r+r]
+	starts, ends, ids, hops := col.c.rows(u)
+	ends = ends[:len(starts)]
+	if p == Problem1 {
+		for i, lo := range starts {
+			own[i] = 0
+			hi := ends[i]
+			rh := hops[lo:hi]
+			for e, v := range ids[lo:hi] {
+				if j := int(v)*r + i; rh[e] < d[j] {
+					d[j] = rh[e]
 				}
 			}
 		}
-	} else {
-		for i := 0; i < r; i++ {
-			t.d[base+i] = 1
-			lo, hi := t.ix.offsets[base+i], t.ix.offsets[base+i+1]
-			if ends != nil {
-				hi = ends[base+i]
-			}
-			for _, v := range t.ix.ids[lo:hi] {
-				t.d[int(v)*r+i] = 1
-			}
+		return
+	}
+	for i, lo := range starts {
+		own[i] = 1
+		for _, v := range ids[lo:ends[i]] {
+			d[int(v)*r+i] = 1
 		}
 	}
-	t.size++
-	t.muts++
 }
 
 // EstimateObjective returns the sampled objective value implied by the
@@ -870,12 +830,8 @@ func (t *DTable) Update(u int) {
 // graph, so repeated objective probes become nearly O(n).
 func (t *DTable) EstimateObjective(members []bool) float64 {
 	var acc int64
-	if t.tabs != nil {
-		for _, tb := range t.tabs {
-			acc += tb.objectiveAccum(members)
-		}
-	} else {
-		acc = t.objectiveAccum(members)
+	for i := range t.cols {
+		acc += t.cols[i].objective(t.problem, members, true)
 	}
 	n := t.ix.g.N()
 	avg := float64(acc) / float64(t.ix.r)
@@ -885,30 +841,29 @@ func (t *DTable) EstimateObjective(members []bool) float64 {
 	return avg
 }
 
-// objectiveAccum is EstimateObjective's integer accumulator over a flat
-// table's replicate columns, maintaining the Problem-2 saturation memo. The
-// chunked path sums it across child tables and applies the float arithmetic
-// once with the total replicate width, so chunked objectives are bit-for-bit
-// identical to flat ones.
-func (t *DTable) objectiveAccum(members []bool) int64 {
-	n := t.ix.g.N()
-	r := t.ix.r
+// objective is one column's integer objective accumulator. With memo set
+// it records newly saturated Problem-2 rows in sat; without, it only reads
+// the memo, so concurrent readers may share the table. The float
+// arithmetic is applied once over the column sums with the total
+// replicate width, so the result does not depend on the chunking.
+func (col *column) objective(p Problem, members []bool, memo bool) int64 {
+	r := col.c.r
+	n := len(col.d) / r
 	var acc int64
 	for u := 0; u < n; u++ {
-		if t.problem == Problem1 && members[u] {
+		if p == Problem1 && members[u] {
 			continue
 		}
-		if t.sat != nil && t.sat[u] {
+		if col.sat != nil && col.sat[u] {
 			acc += int64(r)
 			continue
 		}
 		var row int64
-		base := u * r
-		for i := 0; i < r; i++ {
-			row += int64(t.d[base+i])
+		for _, dv := range col.d[u*r : u*r+r] {
+			row += int64(dv)
 		}
-		if t.sat != nil && row == int64(r) {
-			t.sat[u] = true
+		if memo && col.sat != nil && row == int64(r) {
+			col.sat[u] = true
 		}
 		acc += row
 	}

@@ -123,8 +123,8 @@ func TestPaperExample31DTableAfterUpdate(t *testing.T) {
 	d.Update(1)
 	want := []uint16{1, 0, 1, 2, 1, 2, 2, 2}
 	for u, w := range want {
-		if d.d[u] != w {
-			t.Errorf("D[v%d] = %d, want %d", u+1, d.d[u], w)
+		if d.cols[0].d[u] != w {
+			t.Errorf("D[v%d] = %d, want %d", u+1, d.cols[0].d[u], w)
 		}
 	}
 }
@@ -319,8 +319,9 @@ func TestBuildDeterministic(t *testing.T) {
 	if a.Entries() != b.Entries() {
 		t.Fatalf("entry counts differ: %d vs %d", a.Entries(), b.Entries())
 	}
-	for i := range a.ids {
-		if a.ids[i] != b.ids[i] || a.hops[i] != b.hops[i] {
+	ac, bc := a.chunks[0], b.chunks[0]
+	for i := range ac.ids {
+		if ac.ids[i] != bc.ids[i] || ac.hops[i] != bc.hops[i] {
 			t.Fatal("index contents differ for identical seed")
 		}
 	}
@@ -394,5 +395,60 @@ func BenchmarkGainAllNodes(b *testing.B) {
 			sink += d.Gain(u)
 		}
 		_ = sink
+	}
+}
+
+func TestBuildWorkersEquivalence(t *testing.T) {
+	// The parallel builder must produce semantically identical indexes for
+	// any worker count: same per-row entry multisets, hence identical gains
+	// and selections at every greedy stage.
+	g, _ := graph.BarabasiAlbert(150, 3, 11)
+	const L, R = 5, 8
+	seq, err := BuildWorkers(g, L, R, 99, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := BuildWorkers(g, L, R, 99, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Entries() != par.Entries() {
+		t.Fatalf("entry counts differ: %d vs %d", seq.Entries(), par.Entries())
+	}
+	dSeq, _ := seq.NewDTable(Problem1)
+	dPar, _ := par.NewDTable(Problem1)
+	picks := []int{10, 42, 99, 3}
+	for _, u := range picks {
+		for probe := 0; probe < g.N(); probe += 13 {
+			if gs, gp := dSeq.Gain(probe), dPar.Gain(probe); gs != gp {
+				t.Fatalf("gain(%d) differs after %d updates: %v vs %v", probe, dSeq.Size(), gs, gp)
+			}
+		}
+		dSeq.Update(u)
+		dPar.Update(u)
+	}
+	// Problem 2 as well.
+	d2Seq, _ := seq.NewDTable(Problem2)
+	d2Par, _ := par.NewDTable(Problem2)
+	for probe := 0; probe < g.N(); probe += 7 {
+		if gs, gp := d2Seq.Gain(probe), d2Par.Gain(probe); gs != gp {
+			t.Fatalf("P2 gain(%d) differs: %v vs %v", probe, gs, gp)
+		}
+	}
+}
+
+func TestBuildWorkersDegenerate(t *testing.T) {
+	g, _ := graph.Path(5)
+	// workers > n and workers < 1 are both clamped.
+	a, err := BuildWorkers(g, 3, 2, 1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BuildWorkers(g, 3, 2, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Entries() != b.Entries() {
+		t.Fatal("clamped worker counts disagree")
 	}
 }

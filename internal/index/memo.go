@@ -23,58 +23,35 @@ func emptySlot(p Problem) (int, error) {
 }
 
 // emptySumInt computes the empty-set integer gain sum of node u — the shared
-// kernel of EmptySetGains and EmptySetGainSums. In the compact layout a
-// node's R replicate rows are contiguous (candidate-major) and the whole sum
-// reads one span; a patched index walks the R row spans individually.
+// kernel of EmptySetGains and EmptySetGainSums. Each chunk contributes from
+// its own width (r·L or r), so the per-chunk sums add up to the one-chunk
+// sum exactly. Where a node's rows are contiguous, its sum reads one span.
 func (ix *Index) emptySumInt(p Problem, u int) int64 {
-	if ix.parts != nil {
-		// Per-chunk accumulators start from the chunk's own width (R_c·L or
-		// R_c), so they sum to the flat accumulator exactly: Σ R_c = R.
-		var acc int64
-		for _, pt := range ix.parts {
-			acc += pt.emptySumInt(p, u)
-		}
-		return acc
-	}
-	if ix.sb != nil {
-		return ix.emptySumIntStore(p, u)
-	}
-	r := int64(ix.r)
 	l := int64(ix.l)
 	var acc int64
-	if p == Problem1 {
-		// d ≡ L: the node's own rows contribute R·L, and every index entry
-		// with hop < L improves its source's hitting time by L − hop.
-		acc = r * l
-	} else {
-		// d ≡ 0: the node's own rows contribute R, and every index entry is
-		// a not-yet-dominated source walk.
-		acc = r
-	}
-	base := int64(u) * r
-	if ix.ends == nil {
-		lo, hi := ix.offsets[base], ix.offsets[base+r]
-		if p == Problem1 {
-			for _, hop := range ix.hops[lo:hi] {
-				if int64(hop) < l {
-					acc += l - int64(hop)
-				}
-			}
-		} else {
-			acc += hi - lo
+	for _, c := range ix.chunks {
+		starts, ends, _, hops := c.rows(u)
+		if c.contiguous() {
+			starts, ends = starts[:1], ends[len(ends)-1:]
 		}
-		return acc
-	}
-	for i := int64(0); i < r; i++ {
-		lo, hi := ix.offsets[base+i], ix.ends[base+i]
-		if p == Problem1 {
-			for _, hop := range ix.hops[lo:hi] {
+		if p == Problem2 {
+			// d ≡ 0: the node's own rows contribute r, and every index entry
+			// is a not-yet-dominated source walk.
+			acc += int64(c.r)
+			for i, lo := range starts {
+				acc += ends[i] - lo
+			}
+			continue
+		}
+		// d ≡ L: the node's own rows contribute r·L, and every index entry
+		// with hop < L improves its source's hitting time by L − hop.
+		acc += int64(c.r) * l
+		for i, lo := range starts {
+			for _, hop := range hops[lo:ends[i]] {
 				if int64(hop) < l {
 					acc += l - int64(hop)
 				}
 			}
-		} else {
-			acc += hi - lo
 		}
 	}
 	return acc
@@ -196,7 +173,7 @@ func (t *DTable) Snapshot() *Snapshot {
 }
 
 // Size returns |S| of the snapshotted state.
-func (s *Snapshot) Size() int { return s.src.size }
+func (s *Snapshot) Size() int { return s.src.Size() }
 
 // Problem returns the objective the snapshotted table tracks.
 func (s *Snapshot) Problem() Problem { return s.src.problem }
@@ -219,30 +196,17 @@ func (t *DTable) ExtendFrom(s *Snapshot, extra ...int) error {
 	if s.muts != s.src.muts {
 		return fmt.Errorf("index: snapshot invalidated by %d later mutation(s) of its source", s.src.muts-s.muts)
 	}
+	if len(t.cols) != len(s.src.cols) {
+		// A SyncChunks on either side bumps muts, so width drift that
+		// reaches here is a table of a different width over the same index.
+		return fmt.Errorf("index: ExtendFrom across chunk widths (%d vs %d chunks)", len(t.cols), len(s.src.cols))
+	}
 	if t != s.src {
-		if t.tabs != nil || s.src.tabs != nil {
-			// Chunked tables transfer column by column; both sides must hold
-			// the same chunk set (a SyncChunks on either side bumps muts, so
-			// width drift is caught here or by the snapshot check above).
-			if len(t.tabs) != len(s.src.tabs) {
-				return fmt.Errorf("index: ExtendFrom across chunk widths (%d vs %d chunks)", len(t.tabs), len(s.src.tabs))
-			}
-			for i, st := range s.src.tabs {
-				dt := t.tabs[i]
-				copy(dt.d, st.d)
-				if dt.sat != nil {
-					copy(dt.sat, st.sat)
-				}
-				dt.size = st.size
-			}
-			t.sel = append(t.sel[:0], s.src.sel...)
-		} else {
-			copy(t.d, s.src.d)
-			if t.sat != nil {
-				copy(t.sat, s.src.sat)
-			}
+		for i, src := range s.src.cols {
+			copy(t.cols[i].d, src.d)
+			copy(t.cols[i].sat, src.sat)
 		}
-		t.size = s.src.size
+		t.sel = append(t.sel[:0], s.src.sel...)
 	}
 	t.muts++
 	for _, u := range extra {
@@ -257,9 +221,9 @@ func (t *DTable) Index() *Index { return t.ix }
 // MemoryBytes reports the approximate heap footprint of the table, used by
 // the serving layer's memo cache for /stats accounting.
 func (t *DTable) MemoryBytes() int64 {
-	total := int64(len(t.d))*2 + int64(len(t.sat)) + int64(len(t.sel))*8
-	for _, tb := range t.tabs {
-		total += tb.MemoryBytes()
+	total := int64(len(t.sel)) * 8
+	for _, col := range t.cols {
+		total += int64(len(col.d))*2 + int64(len(col.sat))
 	}
 	return total
 }

@@ -201,7 +201,7 @@ func TestDTableAccessors(t *testing.T) {
 	if d.Index() != ix {
 		t.Fatal("Index() accessor broken")
 	}
-	want := int64(len(d.d))*2 + int64(len(d.sat))
+	want := int64(len(d.cols[0].d))*2 + int64(len(d.cols[0].sat))
 	if d.MemoryBytes() != want {
 		t.Fatalf("MemoryBytes = %d, want %d", d.MemoryBytes(), want)
 	}

@@ -65,15 +65,15 @@ type rowEdit struct {
 // Repaired returns the index a fresh build against ng would produce, given
 // that ng is the result of exactly one graph.ApplyDelta on the graph ix
 // reflects (ng.Epoch() must be one past ix.GraphEpoch()) and touched is the
-// delta's touched-node list. Compact() on the successor followed by
+// delta's touched-node list. Compacting the successor's chunks and
 // comparing the CSR arrays to a rebuild is bit-identical, which the parity
 // tests assert.
 //
 // Repaired never writes memory ix can read, so it may run while other
-// goroutines read ix; ix keeps answering for its own epoch. Store-backed
-// indexes are promoted onto the heap in the successor only, so a mapped
-// original stays valid for its readers. D-tables and empty-set memos of ix
-// do not carry over.
+// goroutines read ix; ix keeps answering for its own epoch. Chunks repair
+// independently against the same delta. Store-backed chunks are promoted
+// onto the heap in the successor only, so a mapped original stays valid
+// for its readers. D-tables and empty-set memos of ix do not carry over.
 func (ix *Index) Repaired(ng *graph.Graph, touched []int) (*Index, error) {
 	if ix.fromWalks {
 		return nil, ErrUnrepairable
@@ -94,66 +94,53 @@ func (ix *Index) Repaired(ng *graph.Graph, touched []int) (*Index, error) {
 			return nil, fmt.Errorf("index: touched node %d out of range [0,%d)", t, newN)
 		}
 	}
-	if ix.parts != nil {
-		// Chunks are self-contained partial indexes over disjoint replicate
-		// ranges, so each repairs independently against the same delta.
-		s := &Index{g: ng, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ng.Epoch(),
-			parts: make([]*Index, 0, len(ix.parts))}
-		for _, pt := range ix.parts {
-			ps, err := pt.Repaired(ng, touched)
-			if err != nil {
+	s := &Index{g: ng, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ng.Epoch(),
+		chunks: make([]*chunk, len(ix.chunks))}
+	for i, c := range ix.chunks {
+		src := c
+		if c.sb != nil {
+			// A decode-on-read chunk has no arrays to share: decode it whole
+			// into a private heap copy.
+			var err error
+			if src, err = c.compacted(); err != nil {
 				return nil, err
 			}
-			s.parts = append(s.parts, ps)
 		}
-		return s, nil
-	}
-	src := ix
-	if ix.sb != nil {
-		// A decode-on-read chunk has no arrays to read rows from: decode it
-		// whole into a private heap view.
-		o, ids, hops, err := ix.sb.Materialize()
-		if err != nil {
-			return nil, fmt.Errorf("index: promote store-backed chunk: %w", err)
+		edits, grow := src.rowEdits(ix.g, ng, ix.seed, ix.l, touched)
+		cs := src.successor(oldN, newN, grow)
+		cs.merge(edits, newN)
+		if float64(cs.dead) > compactThreshold*float64(len(cs.ids)) {
+			cs.offsets, cs.ids, cs.hops = cs.compactArrays(0)
+			cs.ends, cs.dead = nil, 0
 		}
-		src = &Index{g: ix.g, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ix.gepoch,
-			offsets: o, ids: ids, hops: hops}
-	}
-	edits, grow := src.rowEdits(ng, touched)
-	s := src.successor(ng, grow)
-	s.merge(edits)
-	if float64(s.dead) > compactThreshold*float64(len(s.ids)) {
-		s.Compact()
+		s.chunks[i] = cs
 	}
 	return s, nil
 }
 
 // Repair is Repaired applied in place: the receiver becomes its own
 // successor. It is NOT safe to run concurrently with any reader of the
-// receiver (Gain, Update, Row, EmptySetGains, WriteTo, ...), and D-tables
-// created before it are invalid afterwards. The engine never repairs in
-// place; it adopts Repaired's successor instead.
+// receiver (Gain, Update, Row, EmptySetGains, WriteStore, ...), and
+// D-tables created before it are invalid afterwards. The engine never
+// repairs in place; it adopts Repaired's successor instead.
 func (ix *Index) Repair(ng *graph.Graph, touched []int) error {
 	s, err := ix.Repaired(ng, touched)
 	if err != nil {
 		return err
 	}
-	ix.g, ix.gepoch, ix.parts = s.g, s.gepoch, s.parts
-	ix.offsets, ix.ids, ix.hops, ix.ends, ix.dead = s.offsets, s.ids, s.hops, s.ends, s.dead
-	ix.stf, ix.sb, ix.sbEntries = nil, nil, 0
-	ix.tailClaimed.Store(false)
+	ix.g, ix.gepoch, ix.chunks, ix.stf = s.g, s.gepoch, s.chunks, nil
 	ix.resetEmptyMemos()
 	return nil
 }
 
-// rowEdits regenerates, from flat heap-readable ix, every walk the delta
-// to ng disturbed: it replays each on ix's graph to find the entries it
-// contributed, regenerates it on ng, and generates the walks of added
-// nodes. It returns the resulting edits sorted by row, and grow, the number
-// of entries the edited rows will occupy once rewritten.
-func (ix *Index) rowEdits(ng *graph.Graph, touched []int) (edits []rowEdit, grow int64) {
-	R, L := ix.r, ix.l
-	og := ix.g
+// rowEdits regenerates, from the array-backed chunk c of an index over og
+// with master seed seed and walk length L, every walk the delta to ng
+// disturbed: it replays each on og to find the entries it contributed,
+// regenerates it on ng, and generates the walks of added nodes. It returns
+// the resulting edits sorted by row, and grow, the number of entries the
+// edited rows will occupy once rewritten.
+func (c *chunk) rowEdits(og, ng *graph.Graph, seed uint64, L int, touched []int) (edits []rowEdit, grow int64) {
+	R := c.r
 	oldN, newN := og.N(), ng.N()
 
 	// Affected walks, keyed w·R+i: walks starting at a touched node, and
@@ -164,11 +151,10 @@ func (ix *Index) rowEdits(ng *graph.Graph, touched []int) (edits []rowEdit, grow
 		if t >= oldN {
 			continue
 		}
-		for i := 0; i < R; i++ {
-			k := int64(t)*int64(R) + int64(i)
-			walkIDs = append(walkIDs, k)
-			lo, hi := ix.span(k)
-			for _, w := range ix.ids[lo:hi] {
+		starts, ends, ids, _ := c.rows(t)
+		for i, lo := range starts {
+			walkIDs = append(walkIDs, int64(t)*int64(R)+int64(i))
+			for _, w := range ids[lo:ends[i]] {
 				walkIDs = append(walkIDs, int64(w)*int64(R)+int64(i))
 			}
 		}
@@ -183,7 +169,7 @@ func (ix *Index) rowEdits(ng *graph.Graph, touched []int) (edits []rowEdit, grow
 	// edits — exactly the build's walk loop, so replaying on the old graph
 	// yields the entries the build materialized.
 	replay := func(g *graph.Graph, w, i int, remove bool) {
-		rnd.Seed(rng.Mix(ix.seed, uint64(w), uint64(ix.rbase+i)))
+		rnd.Seed(rng.Mix(seed, uint64(w), uint64(c.r0+i)))
 		generation++
 		visited[w] = generation
 		u := w
@@ -218,8 +204,9 @@ func (ix *Index) rowEdits(ng *graph.Graph, touched []int) (edits []rowEdit, grow
 	for a, e := range edits {
 		if a == 0 || e.row != edits[a-1].row {
 			if e.row < oldRows {
-				lo, hi := ix.span(e.row)
-				grow += hi - lo
+				starts, ends, _, _ := c.rows(int(e.row / int64(R)))
+				i := e.row % int64(R)
+				grow += ends[i] - starts[i]
 			}
 		}
 		if e.remove {
@@ -239,27 +226,27 @@ func (ix *Index) rowEdits(ng *graph.Graph, touched []int) (edits []rowEdit, grow
 // index, which the compaction threshold catches.
 const tailSlack = 4
 
-// successor returns flat ix's heap-resident successor shell for ng, in the
-// patched layout with fresh row tables grown to ng's node count (new rows
-// empty at the tail) and entry storage holding ix's rows unchanged, with
-// room to append grow entries.
-func (ix *Index) successor(ng *graph.Graph, grow int64) *Index {
-	s := &Index{g: ng, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ng.Epoch()}
-	offsets, ends := ix.offsets, ix.ends
-	if ix.stf == nil && int64(cap(ix.ids)-len(ix.ids)) >= grow && int64(cap(ix.hops)-len(ix.hops)) >= grow &&
-		ix.tailClaimed.CompareAndSwap(false, true) {
-		// Share the storage: appends land past len(ix.ids), which ix never
+// successor returns the array-backed chunk c's heap-resident successor
+// shell for a graph grown from oldN to newN nodes, in the patched layout
+// with fresh row tables (new rows empty at the tail) and entry storage
+// holding c's rows unchanged, with room to append grow entries.
+func (c *chunk) successor(oldN, newN int, grow int64) *chunk {
+	s := &chunk{r0: c.r0, r: c.r}
+	offsets, ends := c.offsets, c.ends
+	if !c.stored && int64(cap(c.ids)-len(c.ids)) >= grow && int64(cap(c.hops)-len(c.hops)) >= grow &&
+		c.tailClaimed.CompareAndSwap(false, true) {
+		// Share the storage: appends land past len(c.ids), which c never
 		// reads, and the claim keeps any other successor out of that space.
-		s.ids, s.hops, s.dead = ix.ids, ix.hops, ix.dead
+		s.ids, s.hops, s.dead = c.ids, c.hops, c.dead
 	} else {
 		// Mapped pages cannot be appended to, a claimed tail belongs to
 		// another successor, and a short one would reallocate anyway: start
 		// from a compact copy, which also drops the dead storage.
-		offsets, s.ids, s.hops = ix.compactArrays(grow + max(ix.Entries()/tailSlack, 2*grow))
+		offsets, s.ids, s.hops = c.compactArrays(grow + max(c.entries()/tailSlack, 2*grow))
 		ends = nil
 	}
-	oldRows := int64(ix.g.N()) * int64(ix.r)
-	newRows := int64(ng.N()) * int64(ix.r)
+	oldRows := int64(oldN) * int64(c.r)
+	newRows := int64(newN) * int64(c.r)
 	tail := int64(len(s.ids))
 	s.offsets = make([]int64, newRows+1)
 	copy(s.offsets, offsets[:oldRows])
@@ -276,14 +263,14 @@ func (ix *Index) successor(ng *graph.Graph, grow int64) *Index {
 	return s
 }
 
-// merge rewrites each edited row of the successor s at the storage tail:
-// the row's old entries minus the removed sources, interleaved by source
-// with the insertions, in one linear pass. Rows are sorted by source (Build
-// emits them so for every worker count), which is what makes a compacted
-// repair bit-identical to a full rebuild. Until a row is rewritten, s reads
-// it exactly as its predecessor did.
-func (s *Index) merge(edits []rowEdit) {
-	removed := make([]uint32, s.g.N())
+// merge rewrites each edited row of the successor s (over n nodes) at the
+// storage tail: the row's old entries minus the removed sources,
+// interleaved by source with the insertions, in one linear pass. Rows are
+// sorted by source (Build emits them so for every worker count), which is
+// what makes a compacted repair bit-identical to a full rebuild. Until a
+// row is rewritten, s reads it exactly as its predecessor did.
+func (s *chunk) merge(edits []rowEdit, n int) {
+	removed := make([]uint32, n)
 	var generation uint32
 	for a := 0; a < len(edits); {
 		k := edits[a].row
@@ -347,87 +334,36 @@ func sortEditsByRow(edits []rowEdit, rows int64) []rowEdit {
 	return edits
 }
 
-// compactArrays builds fresh compact CSR arrays from the index's live
-// spans, in row order, with room to append spare more entries, without
-// touching the receiver. It serves both layouts; on a compact index it is a
-// plain copy. Rows a repair left in place are still adjacent and in order,
-// so each run of them moves as one block.
-func (ix *Index) compactArrays(spare int64) ([]int64, []int32, []uint16) {
-	rows := int64(len(ix.offsets)) - 1
-	total := ix.Entries()
+// compactArrays builds fresh compact CSR arrays from the array-backed
+// chunk's live rows, in row order, with room to append spare more entries,
+// without touching the receiver. It serves both layouts; on a compact chunk
+// it is a plain copy. Rows a repair left in place are still adjacent and in
+// order, so each run of them moves as one block.
+func (c *chunk) compactArrays(spare int64) ([]int64, []int32, []uint16) {
+	rows := int64(len(c.offsets)) - 1
+	total := c.entries()
 	offsets := make([]int64, rows+1)
 	ids := make([]int32, total, total+spare)
 	hops := make([]uint16, total, total+spare)
-	pos := int64(0)
-	for k := int64(0); k < rows; {
-		lo, hi := ix.span(k)
-		shift := pos - lo
-		offsets[k] = pos
-		for k++; k < rows; k++ {
-			klo, khi := ix.span(k)
-			if klo != hi {
-				break
-			}
-			offsets[k] = klo + shift
-			hi = khi
-		}
-		copy(ids[pos:], ix.ids[lo:hi])
-		copy(hops[pos:], ix.hops[lo:hi])
+	// flush copies the run of adjacent rows [lo, hi) of the source storage.
+	pos, lo, hi := int64(0), int64(0), int64(0)
+	flush := func() {
+		copy(ids[pos:], c.ids[lo:hi])
+		copy(hops[pos:], c.hops[lo:hi])
 		pos += hi - lo
 	}
+	for u := int64(0); u < rows/int64(c.r); u++ {
+		starts, ends, _, _ := c.rows(int(u))
+		for i, start := range starts {
+			if start != hi {
+				flush()
+				lo, hi = start, start
+			}
+			offsets[u*int64(c.r)+int64(i)] = pos + start - lo
+			hi = ends[i]
+		}
+	}
+	flush()
 	offsets[rows] = pos
 	return offsets, ids, hops
-}
-
-// Compact restores the canonical compact layout after Repairs have left the
-// index patched: rows become adjacent and in row order again, dead storage
-// is released, and — because repaired rows stay sorted by source — the
-// resulting arrays are bit-identical to a fresh build against the current
-// graph. It is a no-op on a compact index. Like Repair it mutates the index
-// and must not run concurrently with readers.
-func (ix *Index) Compact() {
-	if ix.parts != nil {
-		for _, pt := range ix.parts {
-			pt.Compact()
-		}
-		return
-	}
-	if ix.ends == nil {
-		return
-	}
-	ix.offsets, ix.ids, ix.hops = ix.compactArrays(0)
-	ix.ends = nil
-	ix.dead = 0
-}
-
-// compacted returns a compact view of the index for serialization: the
-// receiver itself when already compact, otherwise a shallow copy with
-// freshly compacted arrays — the receiver is never mutated, so WriteTo stays
-// safe for concurrent readers of a compact index and never persists the
-// patched layout.
-func (ix *Index) compacted() *Index {
-	if ix.parts != nil {
-		// Chunked parents hold no arrays; WriteTo compacts chunk by chunk.
-		return ix
-	}
-	if ix.sb != nil {
-		// Decode-on-read chunks have no materialized arrays: decode the
-		// whole chunk into a compact copy (blocks are compact by
-		// construction), leaving the receiver untouched.
-		offsets, ids, hops, err := ix.sb.Materialize()
-		if err != nil {
-			// Unreachable short of a writer bug (the file passed its CRC
-			// pass at open); serialize an empty chunk rather than panic.
-			offsets = make([]int64, int64(ix.r)*int64(ix.g.N())+1)
-		}
-		c := &Index{g: ix.g, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ix.gepoch, fromWalks: ix.fromWalks}
-		c.offsets, c.ids, c.hops = offsets, ids, hops
-		return c
-	}
-	if ix.ends == nil {
-		return ix
-	}
-	c := &Index{g: ix.g, l: ix.l, r: ix.r, rbase: ix.rbase, seed: ix.seed, gepoch: ix.gepoch, fromWalks: ix.fromWalks}
-	c.offsets, c.ids, c.hops = ix.compactArrays(0)
-	return c
 }

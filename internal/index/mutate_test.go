@@ -27,7 +27,7 @@ func applyAndRepair(t testing.TB, ix *Index, g *graph.Graph, d graph.Delta) *gra
 
 // assertRebuildParity asserts the repaired index is bit-identical to a fresh
 // build against its current graph: same row contents walk-for-walk, and —
-// once compacted — the exact same CSR arrays.
+// once compacted — the exact same CSR arrays in every chunk.
 func assertRebuildParity(t testing.TB, ix *Index, workers int) {
 	t.Helper()
 	ref, err := BuildRangeWorkers(ix.Graph(), ix.L(), ix.Seed(), ix.R0(), ix.R0()+ix.R(), workers)
@@ -44,12 +44,18 @@ func assertRebuildParity(t testing.TB, ix *Index, workers int) {
 			}
 		}
 	}
-	c := ix.compacted()
-	if !reflect.DeepEqual(c.offsets, ref.offsets) || !reflect.DeepEqual(c.ids, ref.ids) || !reflect.DeepEqual(c.hops, ref.hops) {
-		t.Fatal("compacted repair is not bit-identical to a fresh rebuild")
+	for _, pt := range ix.chunks {
+		c, err := pt.compacted()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := buildChunk(ix.Graph(), ix.L(), ix.Seed(), pt.r0, pt.r0+pt.r, workers)
+		if !reflect.DeepEqual(c.offsets, want.offsets) || !reflect.DeepEqual(c.ids, want.ids) || !reflect.DeepEqual(c.hops, want.hops) {
+			t.Fatal("compacted repair is not bit-identical to a fresh rebuild")
+		}
 	}
-	if c.gepoch != ref.gepoch {
-		t.Fatalf("graph epoch diverged: repaired %d, rebuilt %d", c.gepoch, ref.gepoch)
+	if ix.gepoch != ref.gepoch {
+		t.Fatalf("graph epoch diverged: repaired %d, rebuilt %d", ix.gepoch, ref.gepoch)
 	}
 	if got, want := ix.Entries(), ref.Entries(); got != want {
 		t.Fatalf("Entries() = %d, want %d", got, want)
@@ -186,7 +192,7 @@ func TestRepairRejections(t *testing.T) {
 		t.Fatal("nil graph accepted")
 	}
 	// The failed attempts must not have mutated the index.
-	if ix.GraphEpoch() != 0 || ix.ends != nil {
+	if ix.GraphEpoch() != 0 || ix.chunks[0].ends != nil {
 		t.Fatal("rejected repair left the index modified")
 	}
 }
@@ -242,10 +248,10 @@ func TestRepairDropsEmptySetMemos(t *testing.T) {
 	}
 }
 
-// TestWriteToSerializesPatchedAsCompact asserts serialization of a patched
-// index emits the canonical compact form without mutating the receiver, and
-// that the round-trip preserves the graph epoch.
-func TestWriteToSerializesPatchedAsCompact(t *testing.T) {
+// TestWriteStoreSerializesPatchedAsCompact asserts serialization of a
+// patched index emits the canonical compact form without mutating the
+// receiver, and that the round-trip preserves the graph epoch.
+func TestWriteStoreSerializesPatchedAsCompact(t *testing.T) {
 	g, err := graph.BarabasiAlbert(50, 3, 17)
 	if err != nil {
 		t.Fatal(err)
@@ -255,25 +261,29 @@ func TestWriteToSerializesPatchedAsCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = applyAndRepair(t, ix, g, graph.Delta{AddEdges: []graph.Edge{{U: 0, V: 30}}})
-	if ix.ends == nil {
+	if ix.chunks[0].ends == nil {
 		t.Fatal("test premise: index should be patched after repair")
 	}
 	path := t.TempDir() + "/patched.rwdomidx"
-	if err := ix.SaveFile(path); err != nil {
+	if err := ix.SaveStore(path, false); err != nil {
 		t.Fatal(err)
 	}
-	if ix.ends == nil {
-		t.Fatal("WriteTo compacted the receiver; it must serialize a copy")
+	if ix.chunks[0].ends == nil {
+		t.Fatal("WriteStore compacted the receiver; it must serialize a copy")
 	}
-	loaded, err := LoadFile(path, g)
+	loaded, err := LoadAny(path, g, StoreOptions{})
 	if err != nil {
 		t.Fatalf("round-trip of a patched index: %v", err)
 	}
 	if loaded.GraphEpoch() != 1 {
 		t.Fatalf("round-tripped GraphEpoch = %d, want 1", loaded.GraphEpoch())
 	}
-	c := ix.compacted()
-	if !reflect.DeepEqual(loaded.offsets, c.offsets) || !reflect.DeepEqual(loaded.ids, c.ids) || !reflect.DeepEqual(loaded.hops, c.hops) {
+	c, err := ix.chunks[0].compacted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := loaded.chunks[0]
+	if !reflect.DeepEqual(lc.offsets, c.offsets) || !reflect.DeepEqual(lc.ids, c.ids) || !reflect.DeepEqual(lc.hops, c.hops) {
 		t.Fatal("round-trip diverges from the compacted form")
 	}
 }
@@ -300,7 +310,7 @@ func TestRepairCompactsWhenMostlyDead(t *testing.T) {
 			d = graph.Delta{AddEdges: []graph.Edge{{U: 0, V: 25}}}
 		}
 		g = applyAndRepair(t, ix, g, d)
-		if ix.ends == nil && ix.GraphEpoch() > 0 {
+		if ix.chunks[0].ends == nil && ix.GraphEpoch() > 0 {
 			compacted = true
 		}
 	}
@@ -456,8 +466,10 @@ func TestRepairedLeavesPredecessorIntact(t *testing.T) {
 // withSpareCapacity regrows ix's entry storage with room for a successor
 // to append into, as a repaired index has once its storage has grown.
 func withSpareCapacity(ix *Index) {
-	ix.ids = slices.Grow(ix.ids, len(ix.ids))
-	ix.hops = slices.Grow(ix.hops, len(ix.hops))
+	for _, c := range ix.chunks {
+		c.ids = slices.Grow(c.ids, len(c.ids))
+		c.hops = slices.Grow(c.hops, len(c.hops))
+	}
 }
 
 // TestRepairedTwoSuccessors: two successors of one instance, from two
@@ -490,7 +502,7 @@ func TestRepairedTwoSuccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !base.tailClaimed.Load() || &a.ids[0] != &base.ids[0] {
+	if !base.chunks[0].tailClaimed.Load() || &a.chunks[0].ids[0] != &base.chunks[0].ids[0] {
 		t.Fatal("test premise: the first successor appends into the shared tail")
 	}
 	assertRebuildParity(t, a, 1)
@@ -573,10 +585,10 @@ func TestRepairedUnderReaders(t *testing.T) {
 	}
 }
 
-// TestRepairedMappedStore: repairing a store-backed index, flat or
-// chunked, gives a heap successor that answers exactly like a repaired heap
-// twin (and, flat, has rebuild parity), while the store-backed original
-// keeps serving its epoch unchanged off its pages.
+// TestRepairedMappedStore: repairing a store-backed index of one or three
+// chunks gives a heap successor that answers exactly like a repaired heap
+// twin and has rebuild parity, while the store-backed original keeps
+// serving its epoch unchanged off its pages.
 func TestRepairedMappedStore(t *testing.T) {
 	g, err := graph.BarabasiAlbert(150, 3, 17)
 	if err != nil {
@@ -612,9 +624,7 @@ func TestRepairedMappedStore(t *testing.T) {
 				if s.MemoryBytes() == 0 {
 					t.Fatal("promoted successor reports zero heap bytes")
 				}
-				if !s.Chunked() {
-					assertRebuildParity(t, s, 1)
-				}
+				assertRebuildParity(t, s, 1)
 				for _, p := range []Problem{Problem1, Problem2} {
 					assertReadParity(t, want, s, p)
 					assertReadParity(t, heap, got, p)

@@ -1,9 +1,11 @@
 package index
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -93,36 +95,63 @@ func TestCacheRebuildsOnCorruptSpill(t *testing.T) {
 	}
 }
 
-// TestReadIndexRejectsBitFlipAnywhere sweeps a flipped bit across the stream
-// (sampled) and asserts the reader never returns success: whatever the CRC
-// misses, the structural checks must catch, and vice versa. The file is
-// written in the legacy v7 format explicitly — this is the v7 reader's
-// sweep; internal/store carries the v8 equivalent.
-func TestReadIndexRejectsBitFlipAnywhere(t *testing.T) {
+// TestWriteStoreFailsOnUndecodableChunk: a compressed v8 file whose block
+// is malformed but whose CRCs were re-sealed over the damage opens fine —
+// blocks decode lazily — so re-serializing the loaded index is the first
+// full decode. It must fail, and SaveStore must publish no file, instead
+// of sealing an empty chunk with valid CRCs that every later load would
+// serve as empty rows.
+func TestWriteStoreFailsOnUndecodableChunk(t *testing.T) {
 	g := cacheTestGraph(t, 31)
-	ix, err := Build(g, 3, 8, 5)
+	ix, err := Build(g, 4, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ix.rwdomidx")
-	if err := ix.SaveFile(path); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ix.rwdomidx")
+	if err := ix.SaveStore(path, true); err != nil {
 		t.Fatal(err)
 	}
-	orig, err := os.ReadFile(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	step := len(orig)/64 + 1
-	for off := 0; off < len(orig); off += step {
-		b := append([]byte(nil), orig...)
-		b[off] ^= 0x01
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadFile(path, g); err == nil {
-			t.Fatalf("flipped bit at offset %d was not detected", off)
-		} else if strings.Contains(err.Error(), "panic") {
-			t.Fatalf("flipped bit at offset %d: %v", off, err)
-		}
+	// Layout (internal/store): a 108-byte header, then one 13-word
+	// directory entry per chunk and the directory CRC. Section 0 is the
+	// per-node block offsets, section 1 the block blob.
+	const hdr, entry = 108, 13 * 8
+	chunks := int(binary.LittleEndian.Uint64(b[8+9*8:]))
+	word := func(i int) []byte { return b[hdr+i*8:] }
+	offsOff := int(binary.LittleEndian.Uint64(word(4)))
+	blobOff := int(binary.LittleEndian.Uint64(word(7)))
+	blobLen := int(binary.LittleEndian.Uint64(word(8)))
+	// Set the continuation bit on the last byte of node 0's block: its
+	// final varint now runs past the block's end.
+	end := int(binary.LittleEndian.Uint64(b[offsOff+8:]))
+	if end == 0 {
+		t.Fatal("test premise: node 0's block is empty")
+	}
+	b[blobOff+end-1] |= 0x80
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	binary.LittleEndian.PutUint64(word(9), uint64(crc32.Checksum(b[blobOff:blobOff+blobLen], castagnoli)))
+	dirEnd := hdr + chunks*entry
+	binary.LittleEndian.PutUint32(b[dirEnd:], crc32.Checksum(b[hdr:dirEnd], castagnoli))
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := LoadAny(path, g, StoreOptions{})
+	if err != nil {
+		t.Fatalf("test premise: the re-sealed file must open: %v", err)
+	}
+	if _, err := loaded.WriteStore(io.Discard, true); err == nil {
+		t.Fatal("WriteStore serialized an undecodable chunk")
+	}
+	out := filepath.Join(dir, "respill.rwdomidx")
+	if err := loaded.SaveStore(out, false); err == nil {
+		t.Fatal("SaveStore serialized an undecodable chunk")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "respill*")); len(left) != 0 {
+		t.Fatalf("failed SaveStore left %v behind", left)
 	}
 }

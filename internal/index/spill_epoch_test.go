@@ -11,10 +11,10 @@ import (
 // TestSpillRejectsStaleEpoch is the stale-spill regression test for mutable
 // graphs: the spill header's graph fingerprint cannot distinguish a graph
 // that was mutated and mutated back (the structure round-trips) from one
-// that was never mutated, so the v6 format carries the graph epoch and the
-// loader rejects on mismatch — a stale file falls back to a rebuild, exactly
-// like a corrupt one, never a silent warm load. Before v6 both scenarios
-// below loaded "successfully".
+// that was never mutated, so the spill format carries the graph epoch and
+// the loader rejects on mismatch — a stale file falls back to a rebuild,
+// exactly like a corrupt one, never a silent warm load. Without the epoch
+// both scenarios below would load "successfully".
 func TestSpillRejectsStaleEpoch(t *testing.T) {
 	dir := t.TempDir()
 	key := CacheKey{Graph: "g", L: 4, R: 15, Seed: 3}
@@ -57,7 +57,7 @@ func TestSpillRejectsStaleEpoch(t *testing.T) {
 	if ix2.GraphEpoch() != 2 {
 		t.Fatalf("built GraphEpoch = %d, want 2", ix2.GraphEpoch())
 	}
-	if err := ix2.SaveFile(path); err != nil {
+	if err := ix2.SaveStore(path, true); err != nil {
 		t.Fatal(err)
 	}
 	c, err := NewCache(4, 0, dir)

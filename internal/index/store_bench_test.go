@@ -10,19 +10,14 @@ import (
 )
 
 // BenchmarkWarmRestart measures what a daemon restart pays per warm index:
-// the legacy v7 full deserialize against a v8 mmap open (CRC verification +
-// mapping, no deserialize, rows page in on demand). disk_bytes reports each
-// format's on-disk size — v8's compressed spans shrink the file while v8's
-// open time stays O(file bytes)/CRC-speed instead of O(entries)/decode-speed.
+// opening a compressed v8 file read onto the heap against the same file
+// mmap'd (CRC verification + mapping, rows page in on demand). disk_bytes
+// reports the file's on-disk size; either way the open stays
+// O(file bytes)/CRC-speed with no deserialize.
 func BenchmarkWarmRestart(b *testing.B) {
 	g, _ := graph.BarabasiAlbert(8000, 5, 1)
 	ix, _ := Build(g, 6, 20, 1)
-	dir := b.TempDir()
-	v7 := filepath.Join(dir, "ix.v7")
-	v8 := filepath.Join(dir, "ix.v8")
-	if err := ix.SaveFile(v7); err != nil {
-		b.Fatal(err)
-	}
+	v8 := filepath.Join(b.TempDir(), "ix.v8")
 	if err := ix.SaveStore(v8, true); err != nil {
 		b.Fatal(err)
 	}
@@ -34,22 +29,19 @@ func BenchmarkWarmRestart(b *testing.B) {
 		return float64(fi.Size())
 	}
 	// ReportMetric after the loop: ResetTimer deletes user-reported metrics.
-	b.Run("v7", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := LoadFile(v7, g); err != nil {
-				b.Fatal(err)
+	for _, arm := range []struct {
+		name string
+		opt  StoreOptions
+	}{{"v8-heap", StoreOptions{}}, {"v8-mmap", StoreOptions{Mmap: true}}} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := LoadAny(v8, g, arm.opt); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(size(v7), "disk_bytes")
-	})
-	b.Run("v8-mmap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := LoadStore(v8, g, StoreOptions{Mmap: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(size(v8), "disk_bytes")
-	})
+			b.ReportMetric(size(v8), "disk_bytes")
+		})
+	}
 }
 
 // BenchmarkStoreBackedGain is BenchmarkGainAllNodes served store-backed in
@@ -64,7 +56,7 @@ func BenchmarkStoreBackedGain(b *testing.B) {
 	if err := heap.SaveStore(path, true); err != nil {
 		b.Fatal(err)
 	}
-	ix, err := LoadStore(path, g, StoreOptions{Mmap: true})
+	ix, err := LoadAny(path, g, StoreOptions{Mmap: true})
 	if err != nil {
 		b.Fatal(err)
 	}

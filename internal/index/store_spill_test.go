@@ -1,12 +1,17 @@
 package index
 
 import (
+	"encoding/binary"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/graph"
 )
 
-// Cache-level corruption and compatibility tests for v8 spill files served
+// Cache-level corruption and format tests for v8 spill files served
 // through the mmap path. The invariant under every corruption: the load
 // fails at Open (CRCs + structural validation), SpillLoadErrors ticks, the
 // build runs, and the served answers are those of a fresh build — never a
@@ -147,43 +152,61 @@ func TestCacheIgnoresStaleV8Spill(t *testing.T) {
 	}
 }
 
-// TestCacheLoadsV7Spill is the read-compatibility contract: a spill
-// directory written by a v7 daemon keeps warm-loading after an upgrade —
-// the loader sniffs the magic, so the write-format default moving to v8
-// never invalidates existing spills.
-func TestCacheLoadsV7Spill(t *testing.T) {
+// TestCacheRebuildsOnV7Spill: v8 is the one on-disk format, and the cache
+// is the only reader of old spill directories. A file in the retired v7
+// format at a key's spill path fails to load and costs exactly one counted
+// rebuild, whose answers are those of a fresh build.
+func TestCacheRebuildsOnV7Spill(t *testing.T) {
 	dir := t.TempDir()
 	g := cacheTestGraph(t, 31)
 	key := CacheKey{Graph: "g", L: 4, R: 15, Seed: 3}
-	ix, err := Build(g, key.L, key.R, key.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := mmapCache(t, dir, 4)
-	if err := ix.SaveFile(c.spillPath(key)); err != nil { // legacy v7 writer
+	// A v7 header (magic, version 7, fingerprint, n, L, R, seed, entries,
+	// R0, epoch, chunk count) over a zeroed page.
+	v7 := make([]byte, 4096)
+	copy(v7, "RWDOMIDX")
+	for i, w := range []uint64{7, g.Fingerprint(), uint64(g.N()), uint64(key.L), uint64(key.R), key.Seed, 0, 0, 0, 1} {
+		binary.LittleEndian.PutUint64(v7[8+8*i:], w)
+	}
+	if err := os.WriteFile(c.spillPath(key), v7, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var builds atomic.Int64
-	h, err := c.Acquire(key, g, func() (*Index, error) {
-		builds.Add(1)
-		return nil, os.ErrInvalid // must not run
-	})
+	h, err := c.Acquire(key, g, buildFor(g, key, &builds))
 	if err != nil {
 		t.Fatalf("acquire over v7 spill: %v", err)
 	}
 	defer h.Release()
-	if builds.Load() != 0 {
-		t.Fatal("v7 spill file did not warm-load")
-	}
-	if h.Index().StoreBacked() {
-		t.Fatal("v7 load must fully deserialize, not be store-backed")
+	if builds.Load() != 1 {
+		t.Fatalf("builds = %d, want 1 (a v7 spill must cost one rebuild)", builds.Load())
 	}
 	s := c.Stats()
-	if s.SpillLoads != 1 {
-		t.Fatalf("SpillLoads = %d, want 1", s.SpillLoads)
+	if s.SpillLoadErrors != 1 || s.SpillLoads != 0 || s.MmapLoads != 0 {
+		t.Fatalf("SpillLoadErrors = %d, SpillLoads = %d, MmapLoads = %d, want 1, 0, 0", s.SpillLoadErrors, s.SpillLoads, s.MmapLoads)
 	}
-	if s.MmapLoads != 0 {
-		t.Fatalf("MmapLoads = %d, want 0 (v7 never maps)", s.MmapLoads)
+	want, err := Build(g, key.L, key.R, key.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Problem{Problem1, Problem2} {
+		assertReadParity(t, want, h.Index(), p)
+	}
+}
+
+// TestLoadAgainstWrongGraphRejected: a v8 file binds only to the graph it
+// was built on; a same-size graph of different structure is rejected by
+// fingerprint.
+func TestLoadAgainstWrongGraphRejected(t *testing.T) {
+	g1, _ := graph.BarabasiAlbert(100, 2, 1)
+	g2, _ := graph.BarabasiAlbert(100, 2, 2) // same size, different structure
+	ix, _ := Build(g1, 4, 5, 1)
+	path := filepath.Join(t.TempDir(), "ix.rwdomidx")
+	if err := ix.SaveStore(path, true); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadAny(path, g2, StoreOptions{})
+	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("wrong-graph load: got %v, want fingerprint mismatch", err)
 	}
 }
 

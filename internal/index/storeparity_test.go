@@ -41,12 +41,15 @@ func storeLoad(t *testing.T, ix *Index, v storeVariant) *Index {
 	if err := ix.SaveStore(path, v.compress); err != nil {
 		t.Fatalf("SaveStore: %v", err)
 	}
-	got, err := LoadStore(path, ix.Graph(), v.opt)
+	got, err := LoadAny(path, ix.Graph(), v.opt)
 	if err != nil {
-		t.Fatalf("LoadStore(%s): %v", v.name, err)
+		t.Fatalf("LoadAny(%s): %v", v.name, err)
 	}
 	if !got.StoreBacked() {
-		t.Fatalf("LoadStore(%s): index not store-backed", v.name)
+		t.Fatalf("LoadAny(%s): index not store-backed", v.name)
+	}
+	if got.Chunks() != ix.Chunks() {
+		t.Fatalf("LoadAny(%s): %d chunks, written with %d", v.name, got.Chunks(), ix.Chunks())
 	}
 	if v.opt.Mmap && !got.StoreMapped() {
 		t.Skipf("mmap unavailable on this platform") // !unix heap fallback
@@ -180,12 +183,8 @@ func TestStoreParityAfterGrowth(t *testing.T) {
 			if err := got.ExtendReplicates(6, 2); err != nil {
 				t.Fatalf("ExtendReplicates on store-backed index: %v", err)
 			}
-			if err := wt.SyncChunks(); err != nil {
-				t.Fatal(err)
-			}
-			if err := gt.SyncChunks(); err != nil {
-				t.Fatal(err)
-			}
+			wt.SyncChunks()
+			gt.SyncChunks()
 			for u := 0; u < g.N(); u++ {
 				w, gg := wt.Gain(u), gt.Gain(u)
 				if math.Float64bits(w) != math.Float64bits(gg) {
@@ -236,36 +235,6 @@ func TestStoreParityAfterRepair(t *testing.T) {
 				t.Fatal("index still store-backed after Repair (promotion missing)")
 			}
 			assertReadParity(t, want, got, Problem2)
-		})
-	}
-}
-
-// TestStorePromote is the promotion contract on its own: Promote detaches
-// the index from its file (StoreBacked flips off, MemoryBytes flips from
-// file/mapping accounting to heap accounting) without changing one answer.
-func TestStorePromote(t *testing.T) {
-	g, err := graph.BarabasiAlbert(150, 3, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap, err := BuildChunkedWorkers(g, 5, 12, 33, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range storeVariants() {
-		t.Run(v.name, func(t *testing.T) {
-			got := storeLoad(t, heap, v)
-			if err := got.Promote(); err != nil {
-				t.Fatalf("Promote: %v", err)
-			}
-			if got.StoreBacked() || got.StoreMapped() {
-				t.Fatal("index still store-backed after Promote")
-			}
-			if got.MemoryBytes() == 0 {
-				t.Fatal("promoted index reports zero heap bytes")
-			}
-			assertReadParity(t, heap, got, Problem1)
-			assertReadParity(t, heap, got, Problem2)
 		})
 	}
 }

@@ -84,9 +84,9 @@ type Config struct {
 	// indexes so later misses and restarts skip the build.
 	SpillDir string
 	// SpillFormat selects what spill saves write: "v8" (compressed store
-	// container, the default), "v8raw", or "v7" (legacy). MmapSpills serves
-	// v8 spill loads store-backed off a read-only memory mapping instead of
-	// deserializing them onto the heap. See engine.Config.
+	// container, the default) or "v8raw". MmapSpills serves spill loads
+	// store-backed off a read-only memory mapping instead of deserializing
+	// them onto the heap. See engine.Config.
 	SpillFormat string
 	MmapSpills  bool
 	// DefaultTimeout bounds a request that doesn't set timeout_ms (default

@@ -222,7 +222,7 @@ func (f *File) parseAndVerify(opts OpenOptions) error {
 		// Structural validation of the aliased arrays: the CRCs above catch
 		// corruption, these catch a writer that serialized garbage — the
 		// span bounds in particular must hold before gain loops slice with
-		// them. Mirrors the v7 reader's checks, minus its decode and copy.
+		// them, without a decode or copy.
 		if m.encoding == encodingRaw {
 			offs := bytesInt64(f.section(m, 0))
 			if offs[0] != 0 || offs[rows] != m.entries {

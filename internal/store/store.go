@@ -41,8 +41,8 @@
 // every section CRC before returning — a bit flip, truncation, or stale
 // directory anywhere in the file surfaces as an open error (the cache turns
 // that into a counted rebuild), never as a wrong answer. The CRC pass is a
-// sequential hardware-accelerated scan with no allocation or parse, so a v8
-// open stays far cheaper than a v7 full deserialize even though it touches
+// sequential hardware-accelerated scan with no allocation or parse, so an
+// open stays far cheaper than a full deserialize even though it touches
 // every page once.
 package store
 
@@ -54,9 +54,8 @@ import (
 )
 
 const (
-	// Magic identifies a format-v8 store file; it deliberately differs from
-	// the v7 magic ("RWDOMIDX") so loaders can sniff the format from the
-	// first 8 bytes.
+	// Magic identifies a format-v8 store file; it differs from the retired
+	// v7 magic ("RWDOMIDX"), so an old file fails the open.
 	Magic = "RWDOMST8"
 	// Version is the container version this package reads and writes.
 	Version = 8
@@ -86,8 +85,7 @@ const (
 // (hardware-accelerated on amd64 and arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Identity is the build identity a store file carries, mirroring the v7
-// header: enough for a loader to verify the file matches the graph and build
+// Identity is the build identity a store file carries: enough for a loader to verify the file matches the graph and build
 // parameters it is being bound to.
 type Identity struct {
 	Fingerprint uint64

@@ -185,11 +185,11 @@ func WithSpillDir(dir string) Option {
 	return func(c *openConfig) { c.engine.SpillDir = dir }
 }
 
-// WithSpillFormat selects the on-disk format spills are written in: "v8"
-// (compressed store container, the default), "v8raw" (raw page-aligned
-// sections), or "v7" (the legacy full-deserialize format). Loads sniff the
-// file magic and accept every format, so changing it never invalidates an
-// existing spill directory.
+// WithSpillFormat selects how spills are written in the v8 store format:
+// "v8" (compressed spans, the default) or "v8raw" (raw page-aligned
+// sections). Loads read either, so changing it never invalidates an
+// existing spill directory; a spill file in any other format, such as the
+// retired v7, costs one counted rebuild.
 func WithSpillFormat(format string) Option {
 	return func(c *openConfig) { c.engine.SpillFormat = format }
 }

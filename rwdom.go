@@ -329,12 +329,12 @@ func BuildIndexParallel(g *Graph, L, R int, seed uint64, workers int) (*Index, e
 	return index.BuildWorkers(g, L, R, seed, workers)
 }
 
-// LoadIndexFile reads an index previously saved with Index.SaveFile and
+// LoadIndexFile reads an index previously saved with Index.SaveStore and
 // binds it to g, rejecting indexes built on a structurally different graph.
 // Persisting the index amortizes the dominant cost of the approximate
 // algorithm across runs.
 func LoadIndexFile(path string, g *Graph) (*Index, error) {
-	return index.LoadFile(path, g)
+	return index.LoadAny(path, g, index.StoreOptions{})
 }
 
 // Simulator runs agent-based browsing/search sessions over a graph and
