@@ -1,9 +1,9 @@
 #!/bin/sh
 # bench.sh — the perf gate for this repo. Runs static checks, the race
 # detector over the packages that shard work across goroutines, and the
-# perf-tracking benchmarks (end-to-end selection, index build, serving
-# throughput, memoized gain serving, sharded selection, and the
-# design-decision ablations),
+# perf-tracking benchmarks (end-to-end selection, index build, warm gain
+# requests, sharded selection, and the design-decision ablations; serving
+# throughput is measured by servebench/),
 # then writes the parsed results to a JSON record so the perf trajectory is
 # tracked PR over PR (BENCH_PR1.json, BENCH_PR2.json, ...). cmd/benchcheck
 # compares two such records; CI gates BenchmarkSelectionEndToEnd with a
@@ -34,7 +34,7 @@ echo "== benchmarks (benchtime=$BENCHTIME) =="
 # status from its last command, so `go test | tee` would mask bench
 # failures from set -e and this script would write an empty record.
 go test -run '^$' \
-    -bench 'BenchmarkSelectionEndToEnd|BenchmarkIndexBuild$|BenchmarkChunkedBuild|BenchmarkAdaptiveBudget|BenchmarkServingThroughput|BenchmarkGainServing|BenchmarkWarmGainRequest|BenchmarkEngineWarmGain|BenchmarkTopGainsRepeat|BenchmarkAblationAliasVsBinarySearch|BenchmarkAblationCSRVsAdjList|BenchmarkAblationVisitedStamp|BenchmarkAblationLazyVsPlainGreedy|BenchmarkAblationIndexVsResample' \
+    -bench 'BenchmarkSelectionEndToEnd|BenchmarkIndexBuild$|BenchmarkChunkedBuild|BenchmarkAdaptiveBudget|BenchmarkWarmGainRequest|BenchmarkEngineWarmGain|BenchmarkTopGainsRepeat|BenchmarkAblationAliasVsBinarySearch|BenchmarkAblationCSRVsAdjList|BenchmarkAblationVisitedStamp|BenchmarkAblationLazyVsPlainGreedy|BenchmarkAblationIndexVsResample' \
     -benchtime "$BENCHTIME" -timeout 60m . > "$RAW" 2>&1 || { cat "$RAW"; exit 1; }
 go test -run '^$' -bench 'BenchmarkAblationDTableLayout|BenchmarkIncrementalRepair|BenchmarkWarmRestart|BenchmarkStoreBackedGain' \
     -benchtime "$BENCHTIME" -timeout 30m ./internal/index/ >> "$RAW" 2>&1 || { cat "$RAW"; exit 1; }

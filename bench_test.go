@@ -474,18 +474,6 @@ func BenchmarkSelectionEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkServingThroughput measures the query-serving layer end to end:
-// one iteration runs the full serving experiment (HTTP select/gain sweeps
-// over a warm index cache at several client concurrencies). It tracks the
-// daemon's request-handling overhead on top of the selection engine.
-func BenchmarkServingThroughput(b *testing.B) { runExperiment(b, experiments.Serving) }
-
-// BenchmarkGainServing runs the memoized-vs-fresh gain-serving experiment
-// end to end (two daemons over one graph, warm-set /v1/gain and
-// /v1/topgains sweeps). The per-request comparison the PR-3 acceptance
-// criterion rests on is BenchmarkWarmGainRequest below.
-func BenchmarkGainServing(b *testing.B) { runExperiment(b, experiments.GainServing) }
-
 // BenchmarkEngineWarmGain measures one warm-set gain request at the engine
 // layer — the exact computation BenchmarkWarmGainRequest measures through
 // the HTTP handler stack, minus the codec. It exists to prove the

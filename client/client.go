@@ -1,7 +1,9 @@
 // Package client is the typed Go SDK for the rwdomd random-walk-domination
-// daemon: request/response structs mirroring the v1 wire contract, typed
-// errors carrying the daemon's stable machine-readable codes, automatic
-// retry when the daemon is draining, and a streaming iterator for selects.
+// daemon: the request/response structs of the v1 wire contract (the daemon
+// encodes its replies from these same structs, so they are the contract,
+// not a copy of it), typed errors carrying the daemon's stable
+// machine-readable codes, automatic retry when the daemon is draining, and
+// a streaming iterator for selects.
 //
 //	c, err := client.New("http://localhost:7474")
 //	if err != nil { ... }
@@ -99,14 +101,6 @@ func CodeOf(err error) string {
 		return ce.Code
 	}
 	return CodeInternal
-}
-
-// envelope is the daemon's JSON error shape.
-type envelope struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
 }
 
 // Client talks to one rwdomd base URL. It is safe for concurrent use.
@@ -214,7 +208,7 @@ func decodeError(resp *http.Response) *Error {
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	e := &Error{HTTPStatus: resp.StatusCode}
-	var env envelope
+	var env ErrorResponse
 	if err := json.Unmarshal(raw, &env); err == nil && env.Error.Code != "" {
 		e.Code, e.Message = env.Error.Code, env.Error.Message
 	} else {

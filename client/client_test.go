@@ -144,6 +144,38 @@ func TestReadEndpointsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireStatsEndpoints reads the per-route block of /stats through the
+// typed client: the daemon encodes client.Stats itself, so every block it
+// sends reaches the SDK.
+func TestWireStatsEndpoints(t *testing.T) {
+	_, c := harness(t, server.Config{})
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		if _, err := c.Gain(ctx, client.GainRequest{Graph: "test", L: 4, R: 20, Nodes: []int{3}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Gain(ctx, client.GainRequest{Graph: "nope", L: 4, Nodes: []int{3}}); client.CodeOf(err) != client.CodeNotFound {
+		t.Fatalf("unknown graph: %v", err)
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gain, ok := st.Endpoints["gain"]
+	if !ok || gain.Requests != 3 || gain.Errors != 1 || gain.Latency.Count != 3 {
+		t.Fatalf("gain endpoint %+v (present %v), want 3 requests, 1 error", gain, ok)
+	}
+	if len(gain.Latency.Buckets) != 0 {
+		t.Fatalf("Stats asks for buckets=0, got %d buckets", len(gain.Latency.Buckets))
+	}
+	for _, route := range []string{"select", "objective", "topgains", "mutate", "partial_gain", "partial_topgains", "healthz", "stats"} {
+		if _, ok := st.Endpoints[route]; !ok {
+			t.Errorf("no %q entry in %v", route, st.Endpoints)
+		}
+	}
+}
+
 // The streaming iterator must reassemble bit-identically into the blocking
 // reply — the SDK half of the streaming parity criterion.
 func TestSelectStreamRoundTrip(t *testing.T) {
@@ -186,6 +218,40 @@ func TestSelectStreamRoundTrip(t *testing.T) {
 	}
 	if math.Float64bits(res.Objective) != math.Float64bits(blocking.Objective) {
 		t.Fatalf("stream objective %v, want %v", res.Objective, blocking.Objective)
+	}
+}
+
+// TestWireStreamErrorLine feeds the stream decoder a round line, a line of
+// an unknown shape, and a terminal error envelope: the round is delivered,
+// the unknown line skipped, and the envelope surfaces as a typed *Error.
+func TestWireStreamErrorLine(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_, _ = w.Write([]byte(`{"round":1,"node":4,"gain":2.5,"objective":2.5}` + "\n" +
+			`{"progress":0.5}` + "\n" +
+			`{"error":{"code":"timeout","message":"deadline exceeded"}}` + "\n"))
+	}))
+	defer ts.Close()
+	c, err := client.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.SelectStream(context.Background(), client.SelectRequest{Graph: "test", K: 2, L: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var rounds []client.Round
+	for st.Next() {
+		rounds = append(rounds, st.Round())
+	}
+	if want := (client.Round{Round: 1, Node: 4, Gain: 2.5, Objective: 2.5}); len(rounds) != 1 || rounds[0] != want {
+		t.Fatalf("rounds %+v, want [%+v]", rounds, want)
+	}
+	_, err = st.Result()
+	var ce *client.Error
+	if !errors.As(err, &ce) || ce.Code != client.CodeTimeout || ce.Message != "deadline exceeded" || ce.HTTPStatus != http.StatusOK {
+		t.Fatalf("stream error %#v, want a typed timeout", err)
 	}
 }
 

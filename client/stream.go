@@ -32,20 +32,12 @@ type SelectStream struct {
 	done   bool
 }
 
-// streamLine is the union of the three NDJSON line shapes.
+// streamLine is the union of the three NDJSON line shapes: a Round event,
+// the SelectStreamDone line, or an ErrorResponse.
 type streamLine struct {
-	Round      int             `json:"round"`
-	Node       *int            `json:"node"`
-	Gain       float64         `json:"gain"`
-	Objective  float64         `json:"objective"`
-	CIWidth    float64         `json:"ci_width"`
-	Replicates int             `json:"replicates"`
-	Done       bool            `json:"done"`
-	Result     *SelectResponse `json:"result"`
-	Error      *struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
+	Round
+	SelectStreamDone
+	ErrorResponse
 }
 
 // SelectStream starts a streamed selection. Drain responses are retried
@@ -92,7 +84,7 @@ func (s *SelectStream) Next() bool {
 			return false
 		}
 		switch {
-		case ev.Error != nil:
+		case ev.Error.Code != "":
 			s.err = &Error{Code: ev.Error.Code, Message: ev.Error.Message, HTTPStatus: http.StatusOK}
 			s.done = true
 			return false
@@ -100,8 +92,8 @@ func (s *SelectStream) Next() bool {
 			s.result = ev.Result
 			s.done = true
 			return false
-		case ev.Node != nil:
-			s.cur = Round{Round: ev.Round, Node: *ev.Node, Gain: ev.Gain, Objective: ev.Objective, CIWidth: ev.CIWidth, Replicates: ev.Replicates}
+		case ev.Round.Round > 0:
+			s.cur = ev.Round
 			return true
 		}
 	}

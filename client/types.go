@@ -1,10 +1,12 @@
 package client
 
-// Wire types mirroring the rwdomd v1 HTTP contract (which in turn mirrors
-// the engine's request/response types). The client package deliberately
-// depends only on the wire format — it compiles against any rwdomd of the
-// same v1 contract, and the golden-file suite in internal/server pins that
-// contract.
+// Wire types of the rwdomd v1 HTTP contract. These structs are the
+// contract's one definition: the daemon (internal/server) decodes its
+// request bodies into them and encodes every reply, NDJSON line and error
+// envelope from them, so the client and the daemon cannot drift apart. The
+// package imports nothing else from this module — it compiles against any
+// rwdomd of the same v1 contract — and the golden-file suite in
+// internal/server pins the encoded bytes.
 
 // Problem names accepted by the daemon; numeric forms "1"/"2" also work.
 const (
@@ -35,9 +37,13 @@ type SelectRequest struct {
 	// Algorithm is AlgorithmLazy (default) or AlgorithmPlain.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Workers shards index construction and gain evaluation (0 = server
-	// default). Selections are identical for every value.
+	// default; capped at the server max). Selections are identical for
+	// every value.
 	Workers int `json:"workers,omitempty"`
-	// TimeoutMS bounds the request (0 = server default).
+	// TimeoutMS bounds the request (0 = server default). A request whose
+	// budget expires during an index build gets its timeout immediately
+	// while the build detaches and still warms the daemon's cache; an
+	// expired selection loop is canceled outright.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Epsilon > 0 enables the adaptive replicate budget: R becomes a cap and
 	// each greedy round stops sampling once the leader's separation
@@ -79,16 +85,19 @@ type SelectResponse struct {
 	Evaluations int       `json:"evaluations"`
 	BuildMS     float64   `json:"build_ms"`
 	SelectMS    float64   `json:"select_ms"`
-	IndexCached bool      `json:"index_cached"`
-	Coalesced   bool      `json:"coalesced"`
+	// IndexCached reports that the walk index was already materialized (or
+	// loaded from spill) rather than built for this request; Coalesced that
+	// the whole selection was shared with an identical concurrent request.
+	IndexCached bool `json:"index_cached"`
+	Coalesced   bool `json:"coalesced"`
 	// Accuracy carries the adaptive-budget evidence; nil on fixed-R runs.
 	Accuracy *Accuracy `json:"accuracy,omitempty"`
 }
 
 // Round is one NDJSON round event of POST /v1/select?stream=1: the node
 // picked in this greedy round, its marginal gain, and the objective so far.
-// CIWidth and Replicates carry the round's accuracy evidence on adaptive
-// (epsilon-targeted) runs and are zero otherwise.
+// Round is 1-based. CIWidth and Replicates carry the round's accuracy
+// evidence on adaptive (epsilon-targeted) runs and are omitted otherwise.
 type Round struct {
 	Round      int     `json:"round"`
 	Node       int     `json:"node"`
@@ -96,6 +105,24 @@ type Round struct {
 	Objective  float64 `json:"objective"`
 	CIWidth    float64 `json:"ci_width,omitempty"`
 	Replicates int     `json:"replicates,omitempty"`
+}
+
+// SelectStreamDone is the final line of a successful select stream; Result
+// is the blocking-mode reply.
+type SelectStreamDone struct {
+	Done   bool            `json:"done"`
+	Result *SelectResponse `json:"result"`
+}
+
+// ErrorResponse is the JSON error envelope every endpoint shares, and the
+// terminal line of a select stream that fails after its first round:
+// {"error":{"code":"...","message":"..."}}. Code is one of the Code*
+// constants.
+type ErrorResponse struct {
+	Error struct {
+		Code    string `json:"code"`
+		Message string `json:"message"`
+	} `json:"error"`
 }
 
 // GainRequest identifies a GET /v1/gain query.
@@ -111,10 +138,15 @@ type GainRequest struct {
 
 // GainResponse is the /v1/gain reply: Gains[i] is the marginal gain of
 // adding Nodes[i] to Set. Memo reports which memoized path served it
-// ("hit", "miss", "extended", "empty", or "off"). Degraded is true when the
-// walk index was unavailable (its build was shed under overload or failed)
-// and the answer came from an already-memoized gain table — exact values,
-// but a frozen snapshot that cannot extend to new sets.
+// ("hit", "miss", "extended", "empty", or "off"): the read path is
+// memoized, so a set's n·R gain table is materialized at most once (reusing
+// the longest resident prefix of the set) and later requests for the same
+// set are pure reads; empty-set requests read the index's memoized
+// empty-set gains; "off" means the daemon runs with memoization disabled.
+// Degraded is true when the walk index was unavailable (its build was shed
+// under overload or failed) and the answer came from an already-memoized
+// gain table — exact values, but a frozen snapshot that cannot extend to
+// new sets.
 type GainResponse struct {
 	Graph       string    `json:"graph"`
 	Problem     string    `json:"problem"`
@@ -197,7 +229,8 @@ type ApplyDeltaRequest struct {
 	// Add lists edges to insert; adding an existing edge is a conflict.
 	Add []Edge `json:"add,omitempty"`
 	// Remove lists edges to delete (weights ignored); removing a missing
-	// edge is a conflict.
+	// edge is a conflict. At least one of AddNodes, Add and Remove must be
+	// non-empty.
 	Remove []Edge `json:"remove,omitempty"`
 	// BaseEpoch, when non-nil, makes the mutation conditional: it applies
 	// only if the graph is still at that epoch, else CodeConflict.
@@ -217,7 +250,9 @@ type ApplyDeltaResponse struct {
 	Touched int `json:"touched"`
 	// IndexesRepaired counts resident walk indexes carried across the
 	// mutation by incremental repair; IndexesDropped those that rebuild on
-	// next use; MemosDropped the memoized gain tables invalidated.
+	// next use; MemosDropped the memoized gain tables invalidated. All three
+	// are summed over every applier: the daemon's own engine plus, on a
+	// coordinator, all of its workers.
 	IndexesRepaired int `json:"indexes_repaired"`
 	IndexesDropped  int `json:"indexes_dropped"`
 	MemosDropped    int `json:"memos_dropped"`
@@ -313,7 +348,7 @@ type Health struct {
 	Graphs  int     `json:"graphs"`
 }
 
-// CacheStats mirrors the /stats "cache" block. SpillLoadErrors counts spill
+// CacheStats is the /stats "cache" block. SpillLoadErrors counts spill
 // files that existed but failed to load (truncated or corrupt on disk) and
 // were rebuilt from scratch instead.
 type CacheStats struct {
@@ -332,7 +367,7 @@ type CacheStats struct {
 	Keys            []string `json:"keys"`
 }
 
-// StorageStats mirrors the /stats "storage" block: the daemon's spill
+// StorageStats is the /stats "storage" block: the daemon's spill
 // storage subsystem — the configured on-disk format, whether v8 spill loads
 // serve store-backed off mmap'd pages, and the aggregate mapping/decode
 // counters of resident store-backed indexes.
@@ -347,7 +382,8 @@ type StorageStats struct {
 	PageInRestarts int64  `json:"page_in_restarts"`
 }
 
-// MemoStats mirrors the /stats "memo" block.
+// MemoStats is the /stats "memo" block; all zero when the daemon runs
+// with memoization disabled.
 type MemoStats struct {
 	Enabled        bool  `json:"enabled"`
 	Hits           int64 `json:"hits"`
@@ -363,7 +399,7 @@ type MemoStats struct {
 	ResidentBytes  int64 `json:"resident_bytes"`
 }
 
-// AdmissionStats mirrors the /stats "admission" block: the daemon's
+// AdmissionStats is the /stats "admission" block: the daemon's
 // admission gate (slots, queue bound, traffic counters). Every 503
 // "overloaded" reply corresponds to exactly one Shed tick.
 type AdmissionStats struct {
@@ -378,7 +414,7 @@ type AdmissionStats struct {
 	QueueWaitNS   int64 `json:"queue_wait_ns"`
 }
 
-// ShardConnStats mirrors one worker's entry in the /stats "shards" block.
+// ShardConnStats is one worker's entry in the /stats "shards" block.
 type ShardConnStats struct {
 	Addr     string `json:"addr"`
 	Requests int64  `json:"requests"`
@@ -386,7 +422,7 @@ type ShardConnStats struct {
 	Retries  int64  `json:"retries"`
 }
 
-// ShardsStats mirrors the /stats "shards" block of a coordinator-mode
+// ShardsStats is the /stats "shards" block of a coordinator-mode
 // daemon: per-shard scatter traffic, coordinator retries, and the
 // scatter-gather merge latency histogram (the quantiles are bucket upper
 // bounds in milliseconds).
@@ -399,16 +435,36 @@ type ShardsStats struct {
 	PerShard       []ShardConnStats `json:"per_shard"`
 }
 
-// LatencySnapshot mirrors a /stats latency histogram summary.
+// LatencySnapshot is a /stats latency histogram summary. Quantiles are
+// bucket upper bounds in milliseconds; -1 means the quantile fell in the
+// +Inf overflow bucket. Buckets, the cumulative histogram, is present only
+// when /stats is asked for it (any buckets value other than 0).
 type LatencySnapshot struct {
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
+	Count   int64           `json:"count"`
+	MeanMS  float64         `json:"mean_ms"`
+	P50MS   float64         `json:"p50_ms"`
+	P95MS   float64         `json:"p95_ms"`
+	P99MS   float64         `json:"p99_ms"`
+	Buckets []LatencyBucket `json:"buckets,omitempty"`
 }
 
-// AccuracyStats mirrors the /stats "accuracy" block: adaptive
+// LatencyBucket is one cumulative ("le") histogram bucket.
+type LatencyBucket struct {
+	LeMS  float64 `json:"le_ms"` // upper bound in milliseconds; -1 means +Inf
+	Count int64   `json:"count"` // cumulative count of observations <= LeMS
+}
+
+// EndpointStats is one route's entry in the /stats "endpoints" map, keyed
+// by route name (select, gain, objective, topgains, mutate, partial_gain,
+// partial_topgains, healthz, stats). Errors counts replies with a status
+// of 400 or more, and panics.
+type EndpointStats struct {
+	Requests int64           `json:"requests"`
+	Errors   int64           `json:"errors"`
+	Latency  LatencySnapshot `json:"latency"`
+}
+
+// AccuracyStats is the /stats "accuracy" block: adaptive
 // (epsilon-targeted) selection traffic. CIWidthHist buckets each completed
 // run's achieved CIWidth/epsilon ratio into [0,0.25), [0.25,0.5), [0.5,0.75),
 // [0.75,1], and >1 (the run hit the R cap before reaching epsilon).
@@ -419,22 +475,22 @@ type AccuracyStats struct {
 	CIWidthHist     []int64 `json:"ci_width_hist"`
 }
 
-// Stats is the /stats reply (endpoint latency histograms are left to raw
-// consumers; see the daemon's /stats documentation). Degraded counts read
-// answers served from frozen memo tables while the walk index was
-// unavailable. Shards is present only on coordinator-mode daemons; Accuracy
-// only once an adaptive selection has run; Storage only when the daemon has
-// a spill directory.
+// Stats is the /stats reply. Degraded counts read answers served from
+// frozen memo tables while the walk index was unavailable. Endpoints holds
+// per-route traffic and latency. Shards is present only on coordinator-mode
+// daemons; Accuracy only once an adaptive selection has run; Storage only
+// when the daemon has a spill directory.
 type Stats struct {
-	UptimeS          float64        `json:"uptime_s"`
-	Draining         bool           `json:"draining"`
-	InFlight         int64          `json:"in_flight"`
-	SelectsCoalesced int64          `json:"selects_coalesced"`
-	Degraded         int64          `json:"degraded"`
-	Admission        AdmissionStats `json:"admission"`
-	Cache            CacheStats     `json:"cache"`
-	Memo             MemoStats      `json:"memo"`
-	Accuracy         *AccuracyStats `json:"accuracy,omitempty"`
-	Shards           *ShardsStats   `json:"shards,omitempty"`
-	Storage          *StorageStats  `json:"storage,omitempty"`
+	UptimeS          float64                  `json:"uptime_s"`
+	Draining         bool                     `json:"draining"`
+	InFlight         int64                    `json:"in_flight"`
+	SelectsCoalesced int64                    `json:"selects_coalesced"`
+	Degraded         int64                    `json:"degraded"`
+	Admission        AdmissionStats           `json:"admission"`
+	Cache            CacheStats               `json:"cache"`
+	Memo             MemoStats                `json:"memo"`
+	Endpoints        map[string]EndpointStats `json:"endpoints"`
+	Accuracy         *AccuracyStats           `json:"accuracy,omitempty"`
+	Shards           *ShardsStats             `json:"shards,omitempty"`
+	Storage          *StorageStats            `json:"storage,omitempty"`
 }

@@ -103,7 +103,8 @@
 // all workers before returning; a worker that misses a broadcast answers
 // its epoch-pinned scatters with typed ErrStaleEpoch errors, never a
 // silently mixed-epoch merge. The daemon exposes the same operation as
-// POST /v1/graph/{name}/edges, mirrored by client.ApplyDelta.
+// POST /v1/graph/{name}/edges, whose body and reply are the client
+// package's ApplyDeltaRequest and ApplyDeltaResponse (client.ApplyDelta).
 //
 // # Replicate-sharded serving
 //
@@ -150,8 +151,9 @@
 // and per-endpoint latency histograms. Every error path shares one JSON
 // envelope {"error":{"code","message"}} with the stable codes above, and
 // the repro/client package is the typed Go SDK over the whole contract —
-// mirrored requests/responses, typed errors, retry while the daemon
-// drains, and a streaming iterator for selects.
+// its request/response structs are the contract the daemon encodes (the
+// server declares no wire types of its own), plus typed errors, retry
+// while the daemon drains, and a streaming iterator for selects.
 //
 // The gain read path is memoized (this is where the paper's index pays off
 // at serving time — a marginal gain should be a read, not a rebuild):
@@ -179,9 +181,7 @@
 // drain propagate as
 // context cancellation through the greedy driver (greedy.Run, reached
 // through core.ApproxWithIndex), so a dying request stops consuming cores
-// within one evaluation stride. The serving experiments (internal/experiments,
-// "serving" and "gainserving") measure end-to-end HTTP throughput over the
-// warm caches, memoized versus fresh.
+// within one evaluation stride.
 //
 // # Storage formats
 //

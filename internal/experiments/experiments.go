@@ -208,8 +208,6 @@ func All() []Runner {
 		{"ablations", "Design-decision ablations (DESIGN.md §6)", Ablations},
 		{"extra1", "Empirical validation of the greedy approximation guarantee", Extra1OptimalityRatio},
 		{"extra2", "Estimator accuracy vs Hoeffding sample-size bounds", Extra2EstimatorAccuracy},
-		{"serving", "Query-serving throughput (rwdomd HTTP engine)", Serving},
-		{"gainserving", "Memoized gain serving vs fresh D-table path", GainServing},
 	}
 }
 

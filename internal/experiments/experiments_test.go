@@ -38,8 +38,8 @@ func TestDefaultAndFullConfigsValid(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 15 {
-		t.Fatalf("registry has %d runners, want 15 (Table 2 + Figs 2–10 + ablations + extras + serving + gainserving)", len(all))
+	if len(all) != 13 {
+		t.Fatalf("registry has %d runners, want 13 (Table 2 + Figs 2–10 + ablations + extras)", len(all))
 	}
 	for _, r := range all {
 		got, err := ByID(r.ID)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/client"
 	"repro/internal/graph"
 )
 
@@ -102,14 +103,14 @@ func TestStatsAccuracyBlock(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	getStats := func() StatsResponse {
+	getStats := func() client.Stats {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var st StatsResponse
+		var st client.Stats
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestShardedAccuracyUnsupported(t *testing.T) {
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("sharded accuracy select status %d, want 501", resp.StatusCode)
 	}
-	var er ErrorResponse
+	var er client.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
@@ -52,12 +53,12 @@ var chaosWorkload = []chaosItem{
 // chaosDo issues one workload request. A 200 parses into its canonical
 // payload; any other status must carry the JSON error envelope, whose code
 // is returned.
-func chaosDo(client *http.Client, base string, it chaosItem) (status int, canon *chaosCanon, code string, err error) {
+func chaosDo(hc *http.Client, base string, it chaosItem) (status int, canon *chaosCanon, code string, err error) {
 	var resp *http.Response
 	if it.method == http.MethodPost {
-		resp, err = client.Post(base+it.path, "application/json", strings.NewReader(it.body))
+		resp, err = hc.Post(base+it.path, "application/json", strings.NewReader(it.body))
 	} else {
-		resp, err = client.Get(base + it.path)
+		resp, err = hc.Get(base + it.path)
 	}
 	if err != nil {
 		return 0, nil, "", fmt.Errorf("%s: %w", it.name, err)
@@ -68,11 +69,7 @@ func chaosDo(client *http.Client, base string, it chaosItem) (status int, canon 
 		return 0, nil, "", fmt.Errorf("%s: reading body: %w", it.name, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		var env struct {
-			Error struct {
-				Code string `json:"code"`
-			} `json:"error"`
-		}
+		var env client.ErrorResponse
 		if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code == "" {
 			return resp.StatusCode, nil, "", fmt.Errorf("%s: HTTP %d with malformed error envelope: %q", it.name, resp.StatusCode, raw)
 		}
@@ -81,25 +78,25 @@ func chaosDo(client *http.Client, base string, it chaosItem) (status int, canon 
 	c := &chaosCanon{}
 	switch {
 	case strings.HasPrefix(it.name, "select"):
-		var r SelectResponse
+		var r client.SelectResponse
 		if err := json.Unmarshal(raw, &r); err != nil {
 			return resp.StatusCode, nil, "", fmt.Errorf("%s: %w", it.name, err)
 		}
 		c.nodes, c.gains, c.objective = r.Nodes, r.Gains, r.Objective
 	case it.name == "gain":
-		var r GainResponse
+		var r client.GainResponse
 		if err := json.Unmarshal(raw, &r); err != nil {
 			return resp.StatusCode, nil, "", fmt.Errorf("%s: %w", it.name, err)
 		}
 		c.gains = r.Gains
 	case it.name == "objective":
-		var r ObjectiveResponse
+		var r client.ObjectiveResponse
 		if err := json.Unmarshal(raw, &r); err != nil {
 			return resp.StatusCode, nil, "", fmt.Errorf("%s: %w", it.name, err)
 		}
 		c.objective = r.Objective
 	case it.name == "topgains":
-		var r TopGainsResponse
+		var r client.TopGainsResponse
 		if err := json.Unmarshal(raw, &r); err != nil {
 			return resp.StatusCode, nil, "", fmt.Errorf("%s: %w", it.name, err)
 		}
@@ -202,12 +199,12 @@ func TestChaosFaultInjectionFullStack(t *testing.T) {
 		wg.Add(1)
 		go func(gi int) {
 			defer wg.Done()
-			client := ts.Client()
+			hc := ts.Client()
 			for i := 0; i < iters; i++ {
 				for wi := range chaosWorkload {
 					// Stagger the mix per goroutine so distinct requests overlap.
 					it := chaosWorkload[(wi+gi)%len(chaosWorkload)]
-					status, canon, code, err := chaosDo(client, ts.URL, it)
+					status, canon, code, err := chaosDo(hc, ts.URL, it)
 					if err != nil {
 						errCh <- err
 						continue

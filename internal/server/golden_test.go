@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/client"
 	"repro/internal/graph"
 )
 
@@ -19,7 +21,40 @@ import (
 // (every success endpoint and every stable error code) under testdata/.
 // A change that alters any serialized field name, ordering, or stable value
 // shows up as a golden diff — run `go test ./internal/server -run Golden
-// -update` to re-bless deliberate contract changes.
+// -update` to re-bless deliberate contract changes. goldenWire names the
+// client type each file decodes into, and the wire-contract tests hold the
+// client's structs to the same bytes.
+
+// goldenWire maps each golden file to the client type its JSON decodes
+// into. The stream file is special: round lines (client.Round) followed by
+// one client.SelectStreamDone line.
+var goldenWire = func() map[string]func() any {
+	errorShape := func() any { return new(client.ErrorResponse) }
+	m := map[string]func() any{
+		"select_ok":                 func() any { return new(client.SelectResponse) },
+		"gain_ok":                   func() any { return new(client.GainResponse) },
+		"gain_empty_set_ok":         func() any { return new(client.GainResponse) },
+		"objective_ok":              func() any { return new(client.ObjectiveResponse) },
+		"topgains_ok":               func() any { return new(client.TopGainsResponse) },
+		"healthz_ok":                func() any { return new(client.Health) },
+		"mutate_ok":                 func() any { return new(client.ApplyDeltaResponse) },
+		"partial_gain_ok":           func() any { return new(client.PartialGainResponse) },
+		"partial_gain_objective_ok": func() any { return new(client.PartialGainResponse) },
+		"partial_gain_empty_set_ok": func() any { return new(client.PartialGainResponse) },
+		"partial_topgains_ok":       func() any { return new(client.PartialTopGainsResponse) },
+		"select_stream_ok":          nil,
+	}
+	for _, name := range []string{
+		"error_bad_request", "error_conflict", "error_draining", "error_internal",
+		"error_not_found", "error_timeout", "partial_error_bad_b",
+		"partial_error_bad_objective", "partial_error_bad_range",
+		"partial_error_draining", "partial_error_missing_range",
+		"partial_error_not_found", "partial_error_stale_epoch",
+	} {
+		m[name] = errorShape
+	}
+	return m
+}()
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with observed responses")
 
@@ -235,5 +270,123 @@ func TestGoldenErrorShapes(t *testing.T) {
 	// Every error body advertises JSON.
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("error content type %q", ct)
+	}
+}
+
+// strictRoundTrip decodes raw into v rejecting unknown fields, re-encodes
+// it, and requires the same canonical JSON: every field the daemon sends
+// has a home in the client type, and the client type adds none the daemon
+// omits.
+func strictRoundTrip(t *testing.T, what string, raw []byte, v any) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		t.Fatalf("%s: does not decode into %T: %v", what, v, err)
+	}
+	again, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canonicalize(t, again), canonicalize(t, raw); got != want {
+		t.Errorf("%s: %T re-encodes differently\n--- got ---\n%s--- want ---\n%s", what, v, got, want)
+	}
+}
+
+// TestWireContractGoldenFiles decodes every golden file into its client
+// type: the client's structs are the only definition of the wire contract,
+// so each pinned reply must round-trip through them exactly.
+func TestWireContractGoldenFiles(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != len(goldenWire) {
+		t.Errorf("%d golden files, %d with a client type", len(paths), len(goldenWire))
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".golden")
+		shape, ok := goldenWire[name]
+		if !ok {
+			t.Errorf("%s: no client type registered in goldenWire", name)
+			continue
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var objs []json.RawMessage
+		for dec := json.NewDecoder(bytes.NewReader(raw)); dec.More(); {
+			var obj json.RawMessage
+			if err := dec.Decode(&obj); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			objs = append(objs, obj)
+		}
+		if shape != nil {
+			if len(objs) != 1 {
+				t.Fatalf("%s: %d JSON values, want 1", name, len(objs))
+			}
+			strictRoundTrip(t, name, objs[0], shape())
+			continue
+		}
+		if len(objs) < 2 {
+			t.Fatalf("%s: %d lines, want rounds plus a done line", name, len(objs))
+		}
+		for i, obj := range objs[:len(objs)-1] {
+			strictRoundTrip(t, fmt.Sprintf("%s line %d", name, i+1), obj, new(client.Round))
+		}
+		strictRoundTrip(t, name+" done line", objs[len(objs)-1], new(client.SelectStreamDone))
+	}
+}
+
+// TestWireContractLiveStats decodes live /stats replies, with and without
+// latency buckets, strictly into client.Stats: on an unsharded daemon with
+// a spill directory and adaptive traffic (storage and accuracy blocks) and
+// on an in-process sharded coordinator (shards block).
+func TestWireContractLiveStats(t *testing.T) {
+	g := testGraph(t, 300, 5)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		body string
+	}{
+		{"unsharded", Config{SpillDir: t.TempDir()}, `{"graph":"g","k":2,"L":4,"R":20,"epsilon":1e-9}`},
+		{"sharded", Config{Shards: 2}, `{"graph":"g","k":2,"L":4,"R":20}`},
+	} {
+		tc.cfg.Graphs = map[string]*graph.Graph{"g": g}
+		s := newTestServer(t, tc.cfg)
+		ts := httptest.NewServer(s.Handler())
+		if _, resp := postSelect(t, ts.URL, tc.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: select status %d", tc.name, resp.StatusCode)
+		}
+		for _, query := range []string{"", "?buckets=0"} {
+			resp, err := http.Get(ts.URL + "/stats" + query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st client.Stats
+			strictRoundTrip(t, tc.name+" /stats"+query, raw, &st)
+			sel, ok := st.Endpoints["select"]
+			if !ok || sel.Requests != 1 || sel.Latency.Count != 1 {
+				t.Errorf("%s /stats%s: select endpoint %+v, want one request", tc.name, query, sel)
+			}
+			if withBuckets := query == ""; withBuckets != (len(sel.Latency.Buckets) > 0) {
+				t.Errorf("%s /stats%s: %d latency buckets", tc.name, query, len(sel.Latency.Buckets))
+			}
+			if tc.cfg.Shards > 1 {
+				if st.Shards == nil || st.Shards.Shards != 2 {
+					t.Errorf("%s: shards block %+v", tc.name, st.Shards)
+				}
+			} else if st.Storage == nil || st.Accuracy == nil {
+				t.Errorf("%s: storage %+v, accuracy %+v, want both blocks", tc.name, st.Storage, st.Accuracy)
+			}
+		}
+		ts.Close()
 	}
 }

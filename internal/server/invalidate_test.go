@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/graph"
 	"repro/internal/index"
 )
@@ -34,7 +35,7 @@ func TestIndexEvictionDropsMemoTablesAndReleasesHeap(t *testing.T) {
 			t.Fatalf("gain set=%s: status %d", set, resp.StatusCode)
 		}
 	}
-	if ms := s.MemoStats(); ms.Resident != 3 || ms.ResidentBytes == 0 {
+	if ms := s.Engine().MemoStats(); ms.Resident != 3 || ms.ResidentBytes == 0 {
 		t.Fatalf("memo after traffic: %+v, want 3 resident tables", ms)
 	}
 
@@ -58,7 +59,7 @@ func TestIndexEvictionDropsMemoTablesAndReleasesHeap(t *testing.T) {
 	if got := s.Cache().EvictIdle(s.Cache().Clock()); got != 1 {
 		t.Fatalf("EvictIdle evicted %d indexes, want 1", got)
 	}
-	ms := s.MemoStats()
+	ms := s.Engine().MemoStats()
 	if ms.Invalidated != 3 {
 		t.Fatalf("invalidated = %d, want all 3 dependent tables: %+v", ms.Invalidated, ms)
 	}
@@ -67,7 +68,7 @@ func TestIndexEvictionDropsMemoTablesAndReleasesHeap(t *testing.T) {
 	}
 
 	// /stats serializes the linkage counter.
-	var stats StatsResponse
+	var stats client.Stats
 	if resp := getJSONT(t, ts.URL+"/stats?buckets=0", &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats: %d", resp.StatusCode)
 	}

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/client"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -29,7 +31,7 @@ func TestMemoEvictionBound(t *testing.T) {
 			t.Fatalf("gain set=%s: status %d", set, resp.StatusCode)
 		}
 	}
-	ms := s.MemoStats()
+	ms := s.Engine().MemoStats()
 	if ms.Resident > 2 {
 		t.Fatalf("resident %d exceeds MemoSize 2", ms.Resident)
 	}
@@ -55,7 +57,7 @@ func TestMemoBytesBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	per := probe.MemoStats().ResidentBytes
+	per := probe.Engine().MemoStats().ResidentBytes
 	if per <= 0 {
 		t.Fatalf("probe table bytes = %d", per)
 	}
@@ -74,7 +76,7 @@ func TestMemoBytesBudget(t *testing.T) {
 			t.Fatalf("gain set=%s: status %d", set, resp.StatusCode)
 		}
 	}
-	ms := s.MemoStats()
+	ms := s.Engine().MemoStats()
 	if ms.ResidentBytes > budget {
 		t.Fatalf("resident bytes %d over the %d budget", ms.ResidentBytes, budget)
 	}
@@ -172,7 +174,7 @@ func TestMemoConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms := s.MemoStats()
+	ms := s.Engine().MemoStats()
 	if got := ms.Hits + ms.Misses; got != memoIssued {
 		t.Fatalf("hits(%d) + misses(%d) = %d, want %d memoized lookups: %+v",
 			ms.Hits, ms.Misses, got, memoIssued, ms)
@@ -194,7 +196,7 @@ func TestMemoConcurrentStress(t *testing.T) {
 	}
 
 	// /stats must serialize the same counters.
-	var stats StatsResponse
+	var stats client.Stats
 	if resp := getJSONT(t, ts.URL+"/stats?buckets=0", &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats: %d", resp.StatusCode)
 	}
@@ -257,7 +259,7 @@ func TestMemoCoalescesConcurrentPopulations(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	ms := s.MemoStats()
+	ms := s.Engine().MemoStats()
 	if ms.Misses != 1 {
 		t.Fatalf("misses = %d, want 1 (coalesced %d, hits %d)", ms.Misses, ms.Coalesced, ms.Hits)
 	}
@@ -273,7 +275,7 @@ func TestTopGainsDefaultBClampedByMaxK(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	var tr TopGainsResponse
+	var tr client.TopGainsResponse
 	if resp := getJSONT(t, ts.URL+"/v1/topgains?graph=test&L=4&R=10", &tr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("topgains: status %d", resp.StatusCode)
 	}
@@ -296,14 +298,14 @@ func TestMemoDisabled(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	var gr GainResponse
+	var gr client.GainResponse
 	if resp := getJSONT(t, ts.URL+"/v1/gain?graph=test&L=4&R=10&nodes=1&set=2,3", &gr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("gain: status %d", resp.StatusCode)
 	}
-	if gr.Memo != memoOff {
-		t.Fatalf("memo = %q, want %q", gr.Memo, memoOff)
+	if gr.Memo != engine.MemoOff {
+		t.Fatalf("memo = %q, want %q", gr.Memo, engine.MemoOff)
 	}
-	var stats StatsResponse
+	var stats client.Stats
 	if resp := getJSONT(t, ts.URL+"/stats", &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats: status %d", resp.StatusCode)
 	}

@@ -12,14 +12,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/graph"
 )
 
 // postDelta issues one POST /v1/graph/{name}/edges and decodes either reply
 // shape.
-func postDelta(t *testing.T, client *http.Client, base, name, body string) (int, *ApplyDeltaResponse, string) {
+func postDelta(t *testing.T, hc *http.Client, base, name, body string) (int, *client.ApplyDeltaResponse, string) {
 	t.Helper()
-	resp, err := client.Post(base+"/v1/graph/"+name+"/edges", "application/json", strings.NewReader(body))
+	resp, err := hc.Post(base+"/v1/graph/"+name+"/edges", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,13 +30,13 @@ func postDelta(t *testing.T, client *http.Client, base, name, body string) (int,
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		var env ErrorResponse
+		var env client.ErrorResponse
 		if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code == "" {
 			t.Fatalf("mutate HTTP %d with malformed error envelope: %q", resp.StatusCode, raw)
 		}
 		return resp.StatusCode, nil, env.Error.Code
 	}
-	var out ApplyDeltaResponse
+	var out client.ApplyDeltaResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatalf("mutate reply: %v (%q)", err, raw)
 	}
@@ -111,7 +112,7 @@ func TestMutateEpochPinWire(t *testing.T) {
 		if resp.StatusCode == http.StatusOK {
 			return resp.StatusCode, ""
 		}
-		var env ErrorResponse
+		var env client.ErrorResponse
 		if err := json.Unmarshal(raw, &env); err != nil {
 			t.Fatalf("bad envelope %q", raw)
 		}
@@ -263,14 +264,14 @@ func TestChaosMutateUnderLoad(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					client := ts.Client()
+					hc := ts.Client()
 					for {
 						select {
 						case <-done:
 							return
 						default:
 						}
-						status, canon, code, err := chaosDo(client, ts.URL, mutateChaosGainItem)
+						status, canon, code, err := chaosDo(hc, ts.URL, mutateChaosGainItem)
 						if err != nil {
 							errCh <- err
 							continue

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/client"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/index"
 )
@@ -103,7 +105,7 @@ func TestParityGainMemoizedVsFresh(t *testing.T) {
 		for name, set := range parityCases() {
 			path := fmt.Sprintf("/v1/gain?graph=test&problem=%s&L=5&R=25&seed=9&set=%s&nodes=%s",
 				problem, setParam(set), setParam(probe))
-			var got, want GainResponse
+			var got, want client.GainResponse
 			if resp := getJSON(t, h.memo.URL, path, &got); resp.StatusCode != http.StatusOK {
 				t.Fatalf("memo gain %s/%s: status %d", problem, name, resp.StatusCode)
 			}
@@ -111,14 +113,14 @@ func TestParityGainMemoizedVsFresh(t *testing.T) {
 				t.Fatalf("fresh gain %s/%s: status %d", problem, name, resp.StatusCode)
 			}
 			assertBitIdentical(t, "gain "+problem+"/"+name, got.Gains, want.Gains)
-			if want.Memo != memoOff {
+			if want.Memo != engine.MemoOff {
 				t.Fatalf("fresh server reported memo=%q", want.Memo)
 			}
-			if got.Memo == memoOff || got.Memo == "" {
+			if got.Memo == engine.MemoOff || got.Memo == "" {
 				t.Fatalf("memo server reported memo=%q", got.Memo)
 			}
-			if len(set) == 0 && got.Memo != memoEmpty {
-				t.Fatalf("empty set served via %q, want %q", got.Memo, memoEmpty)
+			if len(set) == 0 && got.Memo != engine.MemoEmpty {
+				t.Fatalf("empty set served via %q, want %q", got.Memo, engine.MemoEmpty)
 			}
 			// In-process reference: fresh table, raw (uncanonicalized) replay.
 			ix, err := index.Build(h.g, 5, 25, 9)
@@ -148,7 +150,7 @@ func TestParityObjectiveMemoizedVsFresh(t *testing.T) {
 		for name, set := range parityCases() {
 			path := fmt.Sprintf("/v1/objective?graph=test&problem=%s&L=5&R=25&seed=9&set=%s",
 				problem, setParam(set))
-			var got, want ObjectiveResponse
+			var got, want client.ObjectiveResponse
 			if resp := getJSON(t, h.memo.URL, path, &got); resp.StatusCode != http.StatusOK {
 				t.Fatalf("memo objective %s/%s: status %d", problem, name, resp.StatusCode)
 			}
@@ -169,7 +171,7 @@ func TestParityTopGainsMemoizedVsFresh(t *testing.T) {
 			for _, b := range []int{1, 10, 600} { // 600 > n exercises clamping
 				path := fmt.Sprintf("/v1/topgains?graph=test&problem=%s&L=5&R=25&seed=9&set=%s&b=%d",
 					problem, setParam(set), b)
-				var got, want TopGainsResponse
+				var got, want client.TopGainsResponse
 				if resp := getJSON(t, h.memo.URL, path, &got); resp.StatusCode != http.StatusOK {
 					t.Fatalf("memo topgains %s/%s b=%d: status %d", problem, name, b, resp.StatusCode)
 				}
@@ -231,7 +233,7 @@ func TestParityAlongGreedyPrefixes(t *testing.T) {
 				prefix := memoSel.Nodes[:plen]
 				gainPath := fmt.Sprintf("/v1/gain?graph=test&problem=%s&L=5&R=25&seed=9&set=%s&nodes=%s",
 					problem, setParam(prefix), setParam(probe))
-				var got, want GainResponse
+				var got, want client.GainResponse
 				if resp := getJSON(t, h.memo.URL, gainPath, &got); resp.StatusCode != http.StatusOK {
 					t.Fatalf("memo prefix gain: status %d", resp.StatusCode)
 				}
@@ -242,7 +244,7 @@ func TestParityAlongGreedyPrefixes(t *testing.T) {
 
 				objPath := fmt.Sprintf("/v1/objective?graph=test&problem=%s&L=5&R=25&seed=9&set=%s",
 					problem, setParam(prefix))
-				var gotO, wantO ObjectiveResponse
+				var gotO, wantO client.ObjectiveResponse
 				if resp := getJSON(t, h.memo.URL, objPath, &gotO); resp.StatusCode != http.StatusOK {
 					t.Fatalf("memo prefix objective: status %d", resp.StatusCode)
 				}
@@ -258,7 +260,7 @@ func TestParityAlongGreedyPrefixes(t *testing.T) {
 	}
 	// The ascending prefix sweep is exactly the shape prefix extension
 	// serves; the gain+objective pairs also hit the cache.
-	ms := h.srv.MemoStats()
+	ms := h.srv.Engine().MemoStats()
 	if ms.PrefixExtended == 0 {
 		t.Fatalf("prefix sweep never extended a cached table: %+v", ms)
 	}
@@ -273,29 +275,29 @@ func TestParityAlongGreedyPrefixes(t *testing.T) {
 func TestMemoStatuses(t *testing.T) {
 	h := newParityHarness(t)
 	get := func(set string) string {
-		var gr GainResponse
+		var gr client.GainResponse
 		path := "/v1/gain?graph=test&L=4&R=10&nodes=1,2&set=" + set
 		if resp := getJSON(t, h.memo.URL, path, &gr); resp.StatusCode != http.StatusOK {
 			t.Fatalf("gain set=%q: status %d", set, resp.StatusCode)
 		}
 		return gr.Memo
 	}
-	if st := get(""); st != memoEmpty {
+	if st := get(""); st != engine.MemoEmpty {
 		t.Fatalf("empty set: memo=%q", st)
 	}
-	if st := get("5,9"); st != memoMiss {
+	if st := get("5,9"); st != engine.MemoMiss {
 		t.Fatalf("first {5,9}: memo=%q", st)
 	}
-	if st := get("9,5,9"); st != memoHit {
+	if st := get("9,5,9"); st != engine.MemoHit {
 		t.Fatalf("repeat {5,9} (permuted, dup): memo=%q", st)
 	}
-	if st := get("5,9,300"); st != memoExtended {
+	if st := get("5,9,300"); st != engine.MemoExtended {
 		t.Fatalf("superset {5,9,300}: memo=%q", st)
 	}
-	if st := get("300,5,9"); st != memoHit {
+	if st := get("300,5,9"); st != engine.MemoHit {
 		t.Fatalf("repeat {5,9,300}: memo=%q", st)
 	}
-	ms := h.srv.MemoStats()
+	ms := h.srv.Engine().MemoStats()
 	if ms.EmptyHits != 1 || ms.Misses != 2 || ms.Hits != 2 || ms.PrefixExtended != 1 {
 		t.Fatalf("stats after status walk: %+v", ms)
 	}

@@ -6,6 +6,10 @@
 // package owns only what is HTTP: routing, request parsing, the JSON error
 // envelope, per-endpoint metrics, draining, and graceful shutdown.
 //
+// Every request body, reply, NDJSON line and error envelope is a type of
+// the client package: the client's structs are the one definition of the
+// v1 wire contract, and this package declares none of its own.
+//
 // Endpoints (all JSON):
 //
 //	POST /v1/select     top-k seed selection (Problem 1 or 2; plain or lazy
@@ -32,9 +36,9 @@
 //
 // with stable codes bad_request, not_found, conflict, stale_epoch,
 // draining, overloaded, timeout and internal (engine.Code), always under
-// Content-Type: application/json.
-// The client package decodes the same envelope into typed errors, and
-// retries draining and overloaded replies with jittered backoff.
+// Content-Type: application/json. The envelope is client.ErrorResponse,
+// which the client package decodes into typed errors, retrying draining
+// and overloaded replies with jittered backoff.
 //
 // Overload is shed, not queued unboundedly: the engine's admission gate
 // (Config.MaxConcurrent / MaxQueue) bounds concurrent heavy work, and a
@@ -319,14 +323,6 @@ func (s *Server) Engine() *engine.Engine { return s.engine }
 
 // Cache exposes the index cache (for stats and tests).
 func (s *Server) Cache() *index.Cache { return s.engine.Cache() }
-
-// MemoStats snapshots the memoized-gain cache counters; the zero value when
-// memoization is disabled.
-func (s *Server) MemoStats() MemoStats { return s.engine.MemoStats() }
-
-// MemoStats re-exports the engine's memo counters for transports and tests
-// that predate the engine extraction.
-type MemoStats = engine.MemoStats
 
 // route registers an instrumented handler: in-flight gauge, latency
 // histogram, error counting, panic containment, and drain refusal.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/greedy"
@@ -42,14 +43,14 @@ func newTestServer(t testing.TB, cfg Config) *Server {
 	return s
 }
 
-func postSelect(t testing.TB, url string, body string) (*SelectResponse, *http.Response) {
+func postSelect(t testing.TB, url string, body string) (*client.SelectResponse, *http.Response) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/select", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr SelectResponse
+	var sr client.SelectResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 			t.Fatal(err)
@@ -106,7 +107,7 @@ func TestConcurrentIdenticalSelectsBuildIndexOnce(t *testing.T) {
 
 	const clients = 12
 	body := `{"graph":"test","k":10,"L":5,"R":40,"seed":3,"algorithm":"plain","workers":1}`
-	responses := make([]*SelectResponse, clients)
+	responses := make([]*client.SelectResponse, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -165,7 +166,7 @@ func TestGainAndObjectiveEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gr GainResponse
+	var gr client.GainResponse
 	if err := json.NewDecoder(resp.Body).Decode(&gr); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestGainAndObjectiveEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var or ObjectiveResponse
+	var or client.ObjectiveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&or); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestHealthzAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hr HealthResponse
+	var hr client.Health
 	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestHealthzAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr StatsResponse
+	var sr client.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func waitForOtherInFlight(t *testing.T, url string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sr StatsResponse
+		var sr client.Stats
 		err = json.NewDecoder(resp.Body).Decode(&sr)
 		resp.Body.Close()
 		if err != nil {
@@ -332,7 +333,7 @@ func TestGracefulShutdownDrainsInFlightRequests(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
-		var sr SelectResponse
+		var sr client.SelectResponse
 		_ = json.NewDecoder(resp.Body).Decode(&sr)
 		resc <- result{status: resp.StatusCode, nodes: len(sr.Nodes)}
 	}()
@@ -442,7 +443,7 @@ func TestDrainingRejectsNewWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hresp.Body.Close()
-	var hr HealthResponse
+	var hr client.Health
 	if err := json.NewDecoder(hresp.Body).Decode(&hr); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/client"
 	"repro/internal/graph"
 )
 
@@ -171,7 +172,7 @@ func TestInProcessShardsMode(t *testing.T) {
 	}
 }
 
-func getStats(t *testing.T, url string) *StatsResponse {
+func getStats(t *testing.T, url string) *client.Stats {
 	t.Helper()
 	resp, err := http.Get(url + "/stats")
 	if err != nil {
@@ -181,7 +182,7 @@ func getStats(t *testing.T, url string) *StatsResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats status %d", resp.StatusCode)
 	}
-	var st StatsResponse
+	var st client.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

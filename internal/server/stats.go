@@ -3,6 +3,7 @@ package server
 import (
 	"sync/atomic"
 
+	"repro/client"
 	"repro/internal/latency"
 )
 
@@ -13,15 +14,8 @@ type endpointMetrics struct {
 	lat      latency.Histogram
 }
 
-// EndpointSnapshot is the JSON form of endpointMetrics.
-type EndpointSnapshot struct {
-	Requests int64            `json:"requests"`
-	Errors   int64            `json:"errors"`
-	Latency  latency.Snapshot `json:"latency"`
-}
-
-func (m *endpointMetrics) Snapshot(withBuckets bool) EndpointSnapshot {
-	return EndpointSnapshot{
+func (m *endpointMetrics) snapshot(withBuckets bool) client.EndpointStats {
+	return client.EndpointStats{
 		Requests: m.requests.Load(),
 		Errors:   m.errors.Load(),
 		Latency:  m.lat.Snapshot(withBuckets),

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/client"
 	"repro/internal/graph"
 )
 
@@ -14,14 +15,14 @@ import (
 // spilling is on — and that a warm restart over the same spill directory
 // reports its page-in loads through it.
 func TestStatsStorageBlock(t *testing.T) {
-	getStats := func(url string) StatsResponse {
+	getStats := func(url string) client.Stats {
 		t.Helper()
 		resp, err := http.Get(url + "/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var sr StatsResponse
+		var sr client.Stats
 		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 			t.Fatal(err)
 		}

@@ -10,25 +10,26 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/client"
 	"repro/internal/graph"
 )
 
 // streamLine is the union of the three NDJSON line shapes, distinguished by
 // which fields are present.
 type streamLine struct {
-	Round      int             `json:"round"`
-	Node       *int            `json:"node"`
-	Gain       float64         `json:"gain"`
-	Objective  float64         `json:"objective"`
-	CIWidth    float64         `json:"ci_width"`
-	Replicates int             `json:"replicates"`
-	Done       bool            `json:"done"`
-	Result     *SelectResponse `json:"result"`
-	Error      *ErrorBody      `json:"error"`
+	Round      int                    `json:"round"`
+	Node       *int                   `json:"node"`
+	Gain       float64                `json:"gain"`
+	Objective  float64                `json:"objective"`
+	CIWidth    float64                `json:"ci_width"`
+	Replicates int                    `json:"replicates"`
+	Done       bool                   `json:"done"`
+	Result     *client.SelectResponse `json:"result"`
+	client.ErrorResponse
 }
 
 // postSelectStream posts body with ?stream=1 and parses every NDJSON line.
-func postSelectStream(t *testing.T, url, body string) (rounds []streamLine, done *SelectResponse, errLine *ErrorBody, resp *http.Response) {
+func postSelectStream(t *testing.T, url, body string) (rounds []streamLine, done *client.SelectResponse, errLine *client.ErrorResponse, resp *http.Response) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/select?stream=1", "application/json", bytes.NewBufferString(body))
 	if err != nil {
@@ -36,11 +37,11 @@ func postSelectStream(t *testing.T, url, body string) (rounds []streamLine, done
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var er ErrorResponse
+		var er client.ErrorResponse
 		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 			t.Fatalf("undecodable %d error body: %v", resp.StatusCode, err)
 		}
-		return nil, nil, &er.Error, resp
+		return nil, nil, &er, resp
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -53,8 +54,8 @@ func postSelectStream(t *testing.T, url, body string) (rounds []streamLine, done
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
 		switch {
-		case line.Error != nil:
-			errLine = line.Error
+		case line.Error.Code != "":
+			errLine = &line.ErrorResponse
 		case line.Done:
 			done = line.Result
 		default:
@@ -160,7 +161,7 @@ func TestStreamSelectValidationErrors(t *testing.T) {
 		if done != nil {
 			t.Errorf("%s: unexpected done line", tc.name)
 		}
-		if errLine == nil || errLine.Code != tc.code {
+		if errLine == nil || errLine.Error.Code != tc.code {
 			t.Errorf("%s: error %+v, want code %q", tc.name, errLine, tc.code)
 		}
 	}

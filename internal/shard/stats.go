@@ -3,7 +3,7 @@ package shard
 import (
 	"sync/atomic"
 
-	"repro/internal/latency"
+	"repro/client"
 )
 
 // connStats tracks one worker connection's scatter traffic.
@@ -37,7 +37,7 @@ type Stats struct {
 	// Retries counts coordinator-level re-sends across all shards.
 	Retries int64
 	// MergeLatency is the scatter-gather merge latency distribution.
-	MergeLatency latency.Snapshot
+	MergeLatency client.LatencySnapshot
 	// PerShard is indexed like the coordinator's workers.
 	PerShard []ConnStats
 }

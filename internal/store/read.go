@@ -47,9 +47,10 @@ type FileStats struct {
 // unmapped by a finalizer once the last reference drops, so eviction never
 // races an in-flight query off its pages.
 type File struct {
-	path     string
-	data     []byte
-	mapped   bool
+	path string
+	data []byte
+	// mapping owns data when it is memory-mapped; nil when heap-loaded.
+	mapping  *mapping
 	pageSize int64
 	id       Identity
 	chunks   []chunkMeta
@@ -67,6 +68,21 @@ type chunkMeta struct {
 	secs [3]struct{ off, size int64 }
 	// spans is the decode-on-read view of a varint chunk, built at open.
 	spans *Spans
+}
+
+// mapping owns one read-only file mapping and unmaps it from a finalizer.
+// The finalizer sits on this leaf rather than on *File because a File and
+// its compressed chunks' Spans point at each other, and Go never runs the
+// finalizer of an object in a cycle: a finalizer on *File would keep every
+// mapping, and the hot rows decoded from it, for the life of the process.
+type mapping struct{ data []byte }
+
+// unmaps counts mappings released by their finalizer.
+var unmaps atomic.Int64
+
+func (m *mapping) release() {
+	_ = munmapFile(m.data)
+	unmaps.Add(1)
 }
 
 // Open opens, validates, and (optionally) maps a v8 store file. Every CRC
@@ -94,9 +110,8 @@ func Open(path string, opts OpenOptions) (*File, error) {
 	f := &File{path: path}
 	if opts.Mmap {
 		if data, merr := mmapFile(osf, size); merr == nil {
-			f.data = data
-			f.mapped = true
-			runtime.SetFinalizer(f, func(ff *File) { _ = munmapFile(ff.data) })
+			f.data, f.mapping = data, &mapping{data: data}
+			runtime.SetFinalizer(f.mapping, (*mapping).release)
 		}
 	}
 	if f.data == nil {
@@ -280,11 +295,11 @@ func (f *File) Identity() Identity { return f.id }
 
 // Mapped reports whether the file is served through an mmap (vs a heap
 // buffer).
-func (f *File) Mapped() bool { return f.mapped }
+func (f *File) Mapped() bool { return f.mapping != nil }
 
 // MappedBytes returns the size of the read-only mapping, 0 when heap-loaded.
 func (f *File) MappedBytes() int64 {
-	if !f.mapped {
+	if f.mapping == nil {
 		return 0
 	}
 	return int64(len(f.data))
@@ -293,7 +308,7 @@ func (f *File) MappedBytes() int64 {
 // HeapBytes returns the heap footprint of the loaded file: the full buffer
 // when heap-loaded, ~0 when mapped (pages belong to the page cache).
 func (f *File) HeapBytes() int64 {
-	if f.mapped {
+	if f.mapping != nil {
 		return 0
 	}
 	return int64(len(f.data))

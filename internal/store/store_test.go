@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // testChunks builds a deterministic multi-chunk CSR fixture: n nodes, chunks
@@ -194,6 +196,37 @@ func TestHotRowCacheCounters(t *testing.T) {
 	sp2.NodeSpan(7)
 	if st := f2.Stats(); st.DecodeMisses != 2 || st.DecodeHits != 0 {
 		t.Fatalf("uncached stats %+v, want 2 misses", st)
+	}
+}
+
+// TestDroppedMappedFilesAreUnmapped opens many mapped compressed files,
+// reads through their Spans (which point back at their File), drops them,
+// and requires every mapping to be released once the GC has run: the
+// File/Spans reference cycle must not pin the mapping for the life of the
+// process.
+func TestDroppedMappedFilesAreUnmapped(t *testing.T) {
+	id, chunks := testChunks(t, 40, 0, []int{3, 5}, 11)
+	path := writeTemp(t, id, chunks, WriteOptions{Compress: true})
+	const files = 32
+	before := unmaps.Load()
+	for i := 0; i < files; i++ {
+		f, err := Open(path, OpenOptions{Mmap: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !f.Mapped() {
+			t.Skip("mmap unsupported on this platform")
+		}
+		for c := 0; c < f.Chunks(); c++ {
+			f.Chunk(c).Spans().NodeSpan(i % id.N)
+		}
+	}
+	for try := 0; try < 50 && unmaps.Load()-before < files; try++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := unmaps.Load() - before; got < files {
+		t.Fatalf("%d of %d dropped mapped files unmapped after GC", got, files)
 	}
 }
 

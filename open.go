@@ -6,10 +6,10 @@ import (
 	"math"
 	"time"
 
+	"repro/client"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/index"
-	"repro/internal/latency"
 	"repro/internal/shard"
 )
 
@@ -83,7 +83,7 @@ type (
 	// ShardConnStats is one shard's request/error/retry counters.
 	ShardConnStats = shard.ConnStats
 	// ShardLatency summarizes the coordinator's merge latencies.
-	ShardLatency = latency.Snapshot
+	ShardLatency = client.LatencySnapshot
 	// Delta is one atomic graph mutation: nodes to append, edges to add,
 	// edges to remove; see Engine.ApplyDelta.
 	Delta = graph.Delta
